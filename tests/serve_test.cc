@@ -22,6 +22,7 @@
 #include "serve/sim_service.h"
 #include "serve/wire.h"
 #include "sim/simulator.h"
+#include "wire_fixtures.h"
 
 namespace vtrain {
 namespace {
@@ -807,6 +808,262 @@ TEST(ServeJson, DecodedRequestIsServable)
     EXPECT_DOUBLE_EQ(via_wire.iteration_seconds,
                      direct.iteration_seconds);
     EXPECT_EQ(service.stats().computed, 1u);
+}
+
+// ------------------------------------------- wire characterization
+//
+// Pins the /v1 evaluate codecs byte for byte and field by field:
+// golden encodings, one failing decode per removed or retyped field,
+// and laxness toward unknown keys at every nesting level.
+
+/** A request whose every field differs from its neighbours' values. */
+SimRequest
+goldenRequest()
+{
+    SimRequest request = tinyRequest();
+    request.model.name = "tiny \"quoted\"\nmodel\t\\";
+    request.parallel.schedule = PipelineSchedule::GPipe;
+    request.parallel.gradient_bucketing = false;
+    request.parallel.bucket_bytes = 12.5e6;
+    request.parallel.zero_stage = 1;
+    request.parallel.precision = Precision::BF16;
+    request.cluster.bandwidth_effectiveness = 0.85;
+    request.cluster.hierarchical_allreduce = true;
+    request.cluster.node.gpu.name = "H100-mock";
+    request.cluster.node.nic_latency = 7.25e-6;
+    request.options.fast_mode = false;
+    request.options.collapse_operators = true;
+    request.options.attention = AttentionImpl::FlashAttention;
+    return request;
+}
+
+/** A result with inexact doubles in every floating-point field. */
+SimulationResult
+goldenResult()
+{
+    SimulationResult result;
+    result.iteration_seconds = 0.1 + 0.2;
+    result.utilization = 0.4218750000000001;
+    result.model_flops = 3.1557e21;
+    result.bubble_fraction = 1.0 / 3.0;
+    result.time_by_tag = {1e-17, 2.5, 0.0, 123456.789};
+    result.num_operators = 12345;
+    result.num_tasks = 678910;
+    result.distinct_operators_profiled = 42;
+    result.profiler_calls = 41;
+    result.extrapolated = true;
+    result.simulated_micro_batches = 9;
+    result.total_micro_batches = 240;
+    result.sim_wall_seconds = 0.0317;
+    return result;
+}
+
+constexpr const char *kGoldenRequest = R"({
+  "version": 1,
+  "model": {
+    "name": "tiny \"quoted\"\nmodel\t\\",
+    "hidden_size": 512,
+    "num_layers": 4,
+    "seq_length": 128,
+    "num_heads": 8,
+    "vocab_size": 1024
+  },
+  "parallel": {
+    "tensor": 2,
+    "data": 2,
+    "pipeline": 2,
+    "micro_batch_size": 1,
+    "global_batch_size": 8,
+    "schedule": "gpipe",
+    "gradient_bucketing": false,
+    "bucket_bytes": 12500000,
+    "activation_recompute": true,
+    "zero_stage": 1,
+    "precision": "bf16"
+  },
+  "cluster": {
+    "node": {
+      "gpu": {
+        "name": "H100-mock",
+        "peak_fp16_flops": 3.12e+14,
+        "peak_fp32_flops": 1.95e+13,
+        "hbm_bandwidth": 2.039e+12,
+        "memory_bytes": 8e+10,
+        "kernel_launch_overhead": 4e-06
+      },
+      "gpus_per_node": 8,
+      "nvlink_bandwidth": 3e+11,
+      "nic_bandwidth": 1e+11,
+      "nic_latency": 7.25e-06,
+      "nvlink_latency": 2e-06
+    },
+    "num_nodes": 1,
+    "bandwidth_effectiveness": 0.85,
+    "hierarchical_allreduce": true
+  },
+  "options": {
+    "fast_mode": false,
+    "memoize_profiles": true,
+    "collapse_operators": true,
+    "attention": "flash-attention"
+  }
+})";
+
+constexpr const char *kGoldenResult = R"({
+  "version": 1,
+  "iteration_seconds": 0.30000000000000004,
+  "utilization": 0.4218750000000001,
+  "model_flops": 3.1557e+21,
+  "bubble_fraction": 0.3333333333333333,
+  "time_by_tag": [
+    1e-17,
+    2.5,
+    0,
+    123456.789
+  ],
+  "num_operators": 12345,
+  "num_tasks": 678910,
+  "distinct_operators_profiled": 42,
+  "profiler_calls": 41,
+  "extrapolated": true,
+  "simulated_micro_batches": 9,
+  "total_micro_batches": 240,
+  "sim_wall_seconds": 0.0317
+})";
+
+constexpr const char *kGoldenBatchResponse = R"({
+  "version": 1,
+  "results": [
+    {
+      "version": 1,
+      "iteration_seconds": 0.30000000000000004,
+      "utilization": 0.4218750000000001,
+      "model_flops": 3.1557e+21,
+      "bubble_fraction": 0.3333333333333333,
+      "time_by_tag": [
+        1e-17,
+        2.5,
+        0,
+        123456.789
+      ],
+      "num_operators": 12345,
+      "num_tasks": 678910,
+      "distinct_operators_profiled": 42,
+      "profiler_calls": 41,
+      "extrapolated": true,
+      "simulated_micro_batches": 9,
+      "total_micro_batches": 240,
+      "sim_wall_seconds": 0.0317
+    }
+  ]
+})";
+
+TEST(ServeJson, EncodingsMatchGoldenBytes)
+{
+    struct Case {
+        const char *name;
+        std::string encoded;
+        const char *golden;
+    };
+    const Case cases[] = {
+        {"request", wire::v1::encode(goldenRequest()).dump(),
+         kGoldenRequest},
+        {"result", wire::v1::encode(goldenResult()).dump(),
+         kGoldenResult},
+        {"evaluate response",
+         wire::v1::encodeEvaluateResponse(goldenResult()),
+         kGoldenResult},
+        {"batch response",
+         wire::v1::encodeEvaluateBatchResponse({goldenResult()}),
+         kGoldenBatchResponse},
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(c.encoded, c.golden) << c.name;
+}
+
+/** Decodes `doc` as a T; on failure *error says why. */
+template <typename T>
+bool
+decodesAs(const json::Value &doc, std::string *error)
+{
+    T out;
+    return wire::v1::decode(doc, &out, error);
+}
+
+TEST(ServeJson, EveryRemovedOrRetypedFieldIsNamed)
+{
+    using namespace wire_fixtures;
+    struct Case {
+        const char *name;
+        json::Value doc;
+        bool (*decode)(const json::Value &, std::string *);
+    };
+    const Case cases[] = {
+        {"request", wire::v1::encode(goldenRequest()),
+         decodesAs<SimRequest>},
+        {"result", wire::v1::encode(goldenResult()),
+         decodesAs<SimulationResult>},
+    };
+    for (const Case &c : cases) {
+        std::string error;
+        ASSERT_TRUE(c.decode(c.doc, &error)) << c.name << ": " << error;
+        for (const Member &member : members(c.doc)) {
+            const std::string where = std::string(c.name) + " " +
+                                      join(member.object) + "/" +
+                                      member.key;
+            const std::string quoted = "'" + member.key + "'";
+            error.clear();
+            EXPECT_FALSE(c.decode(without(c.doc, member), &error))
+                << "removed " << where;
+            EXPECT_NE(error.find(quoted), std::string::npos)
+                << "removed " << where << ": " << error;
+            error.clear();
+            EXPECT_FALSE(c.decode(retyped(c.doc, member), &error))
+                << "retyped " << where;
+            EXPECT_NE(error.find(quoted), std::string::npos)
+                << "retyped " << where << ": " << error;
+        }
+    }
+}
+
+TEST(ServeJson, EvaluateCodecsIgnoreUnknownKeysAtEveryLevel)
+{
+    using namespace wire_fixtures;
+    const SimRequest request = goldenRequest();
+    const json::Value request_doc = wire::v1::encode(request);
+    const std::vector<Path> levels = objectPaths(request_doc);
+    // envelope, model, parallel, cluster, node, gpu, options
+    ASSERT_EQ(levels.size(), 7u);
+    for (const Path &level : levels) {
+        const json::Value doc =
+            withExtraKey(request_doc, level, "zz_unknown");
+        SimRequest decoded;
+        std::string error;
+        ASSERT_TRUE(wire::v1::decode(doc, &decoded, &error))
+            << join(level) << ": " << error;
+        EXPECT_EQ(decoded, request) << join(level);
+
+        SimRequest via_handler;
+        bool want_trace = true;
+        int64_t deadline_ms = 0;
+        net::HttpResponse response;
+        ASSERT_TRUE(wire::v1::decodeEvaluateRequest(
+            doc.dump(), &via_handler, &want_trace, &deadline_ms,
+            &response))
+            << join(level) << ": " << response.body;
+        EXPECT_EQ(via_handler, request) << join(level);
+        EXPECT_FALSE(want_trace);
+        EXPECT_EQ(deadline_ms, -1);
+    }
+
+    const SimulationResult result = goldenResult();
+    SimulationResult decoded;
+    std::string error;
+    ASSERT_TRUE(wire::v1::decode(
+        withExtraKey(wire::v1::encode(result), {}, "zz_unknown"),
+        &decoded, &error))
+        << error;
+    EXPECT_EQ(decoded, result);
 }
 
 // ------------------------------------------------------------ explorer

@@ -32,6 +32,7 @@
 #include "sim/simulator.h"
 #include "util/hash.h"
 #include "util/metrics.h"
+#include "wire_fixtures.h"
 
 namespace vtrain {
 namespace {
@@ -271,6 +272,377 @@ TEST(SweepCodec, SweepResponseRejectsUnknownResultField)
     EXPECT_FALSE(
         wire::v1::decodeSweepResponse(doc.dump(), &decoded, &error));
     EXPECT_NE(error.find("unknown field"), std::string::npos) << error;
+}
+
+// ---------------------------------------------- codec characterization
+//
+// Pins the strict sweep codecs byte for byte and field by field:
+// golden encodings of both request forms and of a response, one
+// failing decode per removed or retyped field, and one named
+// rejection per nesting level for an injected unknown key.
+
+/** A spec-form sweep request with a deadline and non-default knobs. */
+wire::v1::SweepRequest
+goldenSpecRequest()
+{
+    wire::v1::SweepRequest request;
+    request.model = tinyModel();
+    request.cluster = makeCluster(8);
+    request.options.attention = AttentionImpl::FlashAttention2;
+    request.use_spec = true;
+    request.spec = tinySpec();
+    request.spec.max_pipeline = 2;
+    request.spec.exact_gpus = 8;
+    request.spec.schedule = PipelineSchedule::GPipe;
+    request.spec.precision = Precision::FP32;
+    request.deadline_ms = 250;
+    return request;
+}
+
+/** A plans-form sweep request (no deadline on the wire). */
+wire::v1::SweepRequest
+goldenPlansRequest()
+{
+    wire::v1::SweepRequest request;
+    request.model = tinyModel();
+    request.cluster = makeCluster(8);
+    request.plans.resize(2);
+    request.plans[0].tensor = 2;
+    request.plans[0].pipeline = 4;
+    request.plans[0].global_batch_size = 32;
+    request.plans[1].data = 8;
+    request.plans[1].micro_batch_size = 4;
+    request.plans[1].global_batch_size = 32;
+    request.plans[1].bucket_bytes = 0.1 + 0.2;
+    return request;
+}
+
+std::vector<ExploreResult>
+goldenExploreResults()
+{
+    std::vector<ExploreResult> results(1);
+    results[0].plan.tensor = 2;
+    results[0].plan.data = 2;
+    results[0].plan.pipeline = 2;
+    results[0].plan.zero_stage = 1;
+    results[0].sim.iteration_seconds = 0.1 + 0.2;
+    results[0].sim.utilization = 1.0 / 3.0;
+    results[0].sim.time_by_tag = {1e-17, 2.5, 0.0, 123456.789};
+    results[0].sim.num_tasks = 77;
+    results[0].sim.extrapolated = true;
+    return results;
+}
+
+constexpr const char *kGoldenSpecRequest = R"({
+  "version": 1,
+  "model": {
+    "name": "llm-0.0B",
+    "hidden_size": 512,
+    "num_layers": 4,
+    "seq_length": 128,
+    "num_heads": 8,
+    "vocab_size": 1024
+  },
+  "cluster": {
+    "node": {
+      "gpu": {
+        "name": "A100-SXM4-80GB",
+        "peak_fp16_flops": 3.12e+14,
+        "peak_fp32_flops": 1.95e+13,
+        "hbm_bandwidth": 2.039e+12,
+        "memory_bytes": 8e+10,
+        "kernel_launch_overhead": 4e-06
+      },
+      "gpus_per_node": 8,
+      "nvlink_bandwidth": 3e+11,
+      "nic_bandwidth": 1e+11,
+      "nic_latency": 5e-06,
+      "nvlink_latency": 2e-06
+    },
+    "num_nodes": 1,
+    "bandwidth_effectiveness": 1,
+    "hierarchical_allreduce": false
+  },
+  "options": {
+    "fast_mode": true,
+    "memoize_profiles": true,
+    "collapse_operators": false,
+    "attention": "flash-attention-2"
+  },
+  "spec": {
+    "max_tensor": 8,
+    "max_data": 32,
+    "max_pipeline": 2,
+    "micro_batch_sizes": [
+      1,
+      2
+    ],
+    "min_gpus": 0,
+    "max_gpus": 0,
+    "exact_gpus": 8,
+    "require_memory_fit": true,
+    "global_batch_size": 32,
+    "schedule": "gpipe",
+    "gradient_bucketing": true,
+    "activation_recompute": true,
+    "precision": "fp32"
+  },
+  "deadline_ms": 250
+})";
+
+constexpr const char *kGoldenPlansRequest = R"({
+  "version": 1,
+  "model": {
+    "name": "llm-0.0B",
+    "hidden_size": 512,
+    "num_layers": 4,
+    "seq_length": 128,
+    "num_heads": 8,
+    "vocab_size": 1024
+  },
+  "cluster": {
+    "node": {
+      "gpu": {
+        "name": "A100-SXM4-80GB",
+        "peak_fp16_flops": 3.12e+14,
+        "peak_fp32_flops": 1.95e+13,
+        "hbm_bandwidth": 2.039e+12,
+        "memory_bytes": 8e+10,
+        "kernel_launch_overhead": 4e-06
+      },
+      "gpus_per_node": 8,
+      "nvlink_bandwidth": 3e+11,
+      "nic_bandwidth": 1e+11,
+      "nic_latency": 5e-06,
+      "nvlink_latency": 2e-06
+    },
+    "num_nodes": 1,
+    "bandwidth_effectiveness": 1,
+    "hierarchical_allreduce": false
+  },
+  "options": {
+    "fast_mode": true,
+    "memoize_profiles": true,
+    "collapse_operators": false,
+    "attention": "megatron"
+  },
+  "plans": [
+    {
+      "tensor": 2,
+      "data": 1,
+      "pipeline": 4,
+      "micro_batch_size": 1,
+      "global_batch_size": 32,
+      "schedule": "1f1b",
+      "gradient_bucketing": true,
+      "bucket_bytes": 2.5e+07,
+      "activation_recompute": true,
+      "zero_stage": 0,
+      "precision": "fp16"
+    },
+    {
+      "tensor": 1,
+      "data": 8,
+      "pipeline": 1,
+      "micro_batch_size": 4,
+      "global_batch_size": 32,
+      "schedule": "1f1b",
+      "gradient_bucketing": true,
+      "bucket_bytes": 0.30000000000000004,
+      "activation_recompute": true,
+      "zero_stage": 0,
+      "precision": "fp16"
+    }
+  ]
+})";
+
+constexpr const char *kGoldenSweepResponse = R"({
+  "version": 1,
+  "results": [
+    {
+      "plan": {
+        "tensor": 2,
+        "data": 2,
+        "pipeline": 2,
+        "micro_batch_size": 1,
+        "global_batch_size": 1,
+        "schedule": "1f1b",
+        "gradient_bucketing": true,
+        "bucket_bytes": 2.5e+07,
+        "activation_recompute": true,
+        "zero_stage": 1,
+        "precision": "fp16"
+      },
+      "result": {
+        "version": 1,
+        "iteration_seconds": 0.30000000000000004,
+        "utilization": 0.3333333333333333,
+        "model_flops": 0,
+        "bubble_fraction": 0,
+        "time_by_tag": [
+          1e-17,
+          2.5,
+          0,
+          123456.789
+        ],
+        "num_operators": 0,
+        "num_tasks": 77,
+        "distinct_operators_profiled": 0,
+        "profiler_calls": 0,
+        "extrapolated": true,
+        "simulated_micro_batches": 0,
+        "total_micro_batches": 0,
+        "sim_wall_seconds": 0
+      }
+    }
+  ]
+})";
+
+TEST(SweepCodec, EncodingsMatchGoldenBytes)
+{
+    EXPECT_EQ(wire::v1::encode(goldenSpecRequest()).dump(),
+              kGoldenSpecRequest);
+    EXPECT_EQ(wire::v1::encode(goldenPlansRequest()).dump(),
+              kGoldenPlansRequest);
+    EXPECT_EQ(wire::v1::encodeSweepResponse(goldenExploreResults()),
+              kGoldenSweepResponse);
+}
+
+/** Decodes `doc` as a T; on failure *error says why. */
+template <typename T>
+bool
+decodesAs(const json::Value &doc, std::string *error)
+{
+    T out;
+    return wire::v1::decode(doc, &out, error);
+}
+
+bool
+decodesAsSweepResponse(const json::Value &doc, std::string *error)
+{
+    std::vector<ExploreResult> out;
+    return wire::v1::decodeSweepResponse(doc.dump(), &out, error);
+}
+
+struct CodecCase {
+    const char *name;
+    json::Value doc;
+    bool (*decode)(const json::Value &, std::string *);
+};
+
+std::vector<CodecCase>
+strictCodecCases()
+{
+    const std::vector<ExploreResult> results = goldenExploreResults();
+    return {
+        {"spec request", wire::v1::encode(goldenSpecRequest()),
+         decodesAs<wire::v1::SweepRequest>},
+        {"plans request", wire::v1::encode(goldenPlansRequest()),
+         decodesAs<wire::v1::SweepRequest>},
+        {"spec", wire::v1::encode(goldenSpecRequest().spec),
+         decodesAs<SweepSpec>},
+        {"explore result", wire::v1::encode(results[0]),
+         decodesAs<ExploreResult>},
+        {"sweep response",
+         [&] {
+             json::Value doc;
+             std::string error;
+             EXPECT_TRUE(json::Value::parse(
+                 wire::v1::encodeSweepResponse(results), &doc, &error))
+                 << error;
+             return doc;
+         }(),
+         decodesAsSweepResponse},
+    };
+}
+
+TEST(SweepCodec, EveryRemovedOrRetypedFieldIsNamed)
+{
+    using namespace wire_fixtures;
+    for (const CodecCase &c : strictCodecCases()) {
+        std::string error;
+        ASSERT_TRUE(c.decode(c.doc, &error)) << c.name << ": " << error;
+        for (const Member &member : members(c.doc)) {
+            const std::string where = std::string(c.name) + " " +
+                                      join(member.object) + "/" +
+                                      member.key;
+            const std::string quoted = "'" + member.key + "'";
+            // The one optional field: absent means "no deadline".
+            if (member.key != "deadline_ms") {
+                error.clear();
+                EXPECT_FALSE(c.decode(without(c.doc, member), &error))
+                    << "removed " << where;
+                EXPECT_NE(error.find(quoted), std::string::npos)
+                    << "removed " << where << ": " << error;
+            }
+            error.clear();
+            EXPECT_FALSE(c.decode(retyped(c.doc, member), &error))
+                << "retyped " << where;
+            EXPECT_NE(error.find(quoted), std::string::npos)
+                << "retyped " << where << ": " << error;
+        }
+    }
+}
+
+TEST(SweepCodec, UnknownKeyIsRejectedAndNamedAtEveryLevel)
+{
+    using namespace wire_fixtures;
+    const std::string unknown = "unknown field 'zz_unknown' in ";
+    const std::string plan0 = "bad plan at index 0: ";
+    const std::string result0 = "bad result at index 0: ";
+    // Case name -> (object path -> the full expected error).
+    const std::vector<
+        std::pair<std::string, std::vector<std::pair<std::string,
+                                                     std::string>>>>
+        expected = {
+            {"spec request",
+             {{"", unknown + "sweep request"},
+              {"model", unknown + "model"},
+              {"cluster", unknown + "cluster"},
+              {"cluster/node", unknown + "node"},
+              {"cluster/node/gpu", unknown + "gpu"},
+              {"options", unknown + "options"},
+              {"spec", unknown + "spec"}}},
+            {"plans request",
+             {{"", unknown + "sweep request"},
+              {"model", unknown + "model"},
+              {"cluster", unknown + "cluster"},
+              {"cluster/node", unknown + "node"},
+              {"cluster/node/gpu", unknown + "gpu"},
+              {"options", unknown + "options"},
+              {"plans/0", plan0 + unknown + "plan"}}},
+            {"spec", {{"", unknown + "spec"}}},
+            {"explore result",
+             {{"", unknown + "explore result"},
+              {"plan", unknown + "plan"},
+              {"result", unknown + "result"}}},
+            {"sweep response",
+             {{"", unknown + "sweep response"},
+              {"results/0", result0 + unknown + "explore result"},
+              {"results/0/plan", result0 + unknown + "plan"},
+              {"results/0/result", result0 + unknown + "result"}}},
+        };
+    const std::vector<CodecCase> cases = strictCodecCases();
+    ASSERT_EQ(cases.size(), expected.size());
+    for (size_t i = 0; i < cases.size(); ++i) {
+        const CodecCase &c = cases[i];
+        ASSERT_EQ(c.name, expected[i].first);
+        const std::vector<Path> levels = objectPaths(c.doc);
+        // Every nesting level of the document is covered.
+        ASSERT_EQ(levels.size(), expected[i].second.size()) << c.name;
+        for (const Path &level : levels) {
+            std::string want;
+            for (const auto &[path, message] : expected[i].second)
+                if (path == join(level))
+                    want = message;
+            ASSERT_FALSE(want.empty()) << c.name << " " << join(level);
+            std::string error;
+            EXPECT_FALSE(c.decode(
+                withExtraKey(c.doc, level, "zz_unknown"), &error))
+                << c.name << " " << join(level);
+            EXPECT_EQ(error, want) << c.name << " " << join(level);
+        }
+    }
 }
 
 // --------------------------------------------------------------- ring
