@@ -294,13 +294,11 @@ BM_ReplayKernel(benchmark::State &state)
     // that name a kernel the binary/host cannot run are skipped, so
     // the suite is portable while still exposing the SIMD roof where
     // the hardware has one.
-    //   Arg 0: kernel (0 = scalar, 1 = AVX2, 2 = AVX-512);
+    //   Arg 0: kernel (0 = scalar, 1 = AVX2);
     //   Arg 1: K, the batch width (sweeps vector bodies and tails).
     setVerbose(false);
     const ReplayKernel kernel =
-        state.range(0) == 0   ? ReplayKernel::Scalar
-        : state.range(0) == 1 ? ReplayKernel::Avx2
-                              : ReplayKernel::Avx512;
+        state.range(0) == 0 ? ReplayKernel::Scalar : ReplayKernel::Avx2;
     if (!replayKernelUsable(kernel)) {
         state.SkipWithError("replay kernel not usable on this host");
         return;
@@ -346,10 +344,10 @@ BM_ReplayKernel(benchmark::State &state)
     state.counters["points"] = static_cast<double>(k_points);
 }
 // The SIMD acceptance metric: the same K columns through each
-// compiled kernel.  Widths cross the 8-wide AVX-512 body, the 4-wide
-// AVX2 body/tail, and the scalar remainders.
+// compiled kernel.  Widths cross the 4-wide AVX2 body/tail and the
+// scalar remainders.
 BENCHMARK(BM_ReplayKernel)
-    ->ArgsProduct({{0, 1, 2}, {4, 16, 64}})
+    ->ArgsProduct({{0, 1}, {4, 16, 64}})
     ->Unit(benchmark::kMillisecond);
 
 void

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project-specific lint rules for the vtrain tree.
 
-Seven rules, each targeting a defect class the compilers cannot (or
+Eight rules, each targeting a defect class the compilers cannot (or
 do not) catch:
 
   naked-mutex         std::mutex / std::lock_guard / std::unique_lock /
@@ -51,12 +51,21 @@ do not) catch:
                       friends) anywhere but the dedicated replay
                       kernel TUs (src/sim/replay_kernels_*.cc), and
                       never in a header.  Those TUs are the only code
-                      compiled with -mavx2/-mavx512f; an intrinsic
+                      compiled with -mavx2; an intrinsic
                       leaking into a baseline-arch TU either fails to
                       compile or, worse, quietly raises the binary's
                       ISA floor past the runtime cpuid dispatch
                       (util/cpu_features.h) that keeps the scalar
                       fallback honest.
+
+  unchecked-int       json::Value::asInt64() in the /v1 wire codecs
+                      (src/serve/wire.cc).  Their decoders face the
+                      network, and asInt64() panics on a fraction or a
+                      value beyond 2^53 -- a client typo becomes a 500
+                      carrying internal check text, or a value is
+                      narrowed silently.  Integers there must go
+                      through the codec's checked reader, which answers
+                      "is not an integer" / "is out of range" (a 400).
 
   metric-naming       Metric names registered through MetricRegistry
                       (counter/gauge/histogram and their declare*
@@ -130,6 +139,14 @@ WIRE_RAW_PATTERNS = [
      "envelope, status, and Retry-After cannot disagree"),
 ]
 
+# Network-facing decoders: integers must use the codec's checked
+# reader, never the panicking json::Value::asInt64().
+UNCHECKED_INT_FILES = [
+    os.path.join("src", "serve", "wire.cc"),
+]
+
+UNCHECKED_INT_RE = re.compile(r"\basInt64\s*\(")
+
 # An #include of any x86 SIMD intrinsics header (immintrin.h is the
 # umbrella; the rest are its per-ISA pieces and the GCC/Clang
 # grab-bag x86intrin.h / SSE-era headers).
@@ -137,7 +154,7 @@ INTRINSICS_INCLUDE_RE = re.compile(
     r"#\s*include\s*[<\"]\s*("
     r"immintrin|x86intrin|x86gprintrin|xmmintrin|emmintrin|pmmintrin|"
     r"tmmintrin|smmintrin|nmmintrin|wmmintrin|ammintrin|avxintrin|"
-    r"avx2intrin|avx512fintrin"
+    r"avx2intrin"
     r")\.h\s*[>\"]")
 
 # The only files allowed to include intrinsics: the per-ISA replay
@@ -336,6 +353,20 @@ def check_wire_schema(root, findings):
                     message))
 
 
+def check_unchecked_int(root, findings):
+    for rel in UNCHECKED_INT_FILES:
+        path = os.path.join(root, rel)
+        if not os.path.exists(path):
+            continue
+        code = strip_comments(read_text(path))
+        for m in UNCHECKED_INT_RE.finditer(code):
+            findings.append(Finding(
+                rel, line_of(code, m.start()), "unchecked-int",
+                "asInt64() panics on a non-integer or beyond 2^53; "
+                "network-facing decoders must use the checked integer "
+                "reader so bad input is a 400"))
+
+
 def check_file_naming(root, findings):
     tests_dir = os.path.join(root, "tests")
     if os.path.isdir(tests_dir):
@@ -409,6 +440,7 @@ def run_all(root):
     check_missing_annotation(root, findings)
     check_pool_blocking(root, findings)
     check_wire_schema(root, findings)
+    check_unchecked_int(root, findings)
     check_file_naming(root, findings)
     check_metric_naming(root, findings)
     check_intrinsics_isolation(root, findings)
@@ -484,6 +516,14 @@ net::HttpResponse Frontend::handleRaw() {
 }
 """
 
+FIXTURE_UNCHECKED_INT = """\
+bool readDeadline(const json::Value &v, int64_t *out) {
+    *out = v.asInt64();                             // bad: panics
+    // v.asInt64() in a comment must NOT fire
+    return decodeValue(v, "deadline_ms", out);      // legal
+}
+"""
+
 
 FIXTURE_INTRINSICS_LEAK = """\
 #include <immintrin.h>
@@ -519,6 +559,8 @@ def self_test():
              "#include <mutex>\nstd::mutex ok_here;\n"),
             (os.path.join("src", "serve", "http_frontend.cc"),
              FIXTURE_POOL_BLOCKING),
+            (os.path.join("src", "serve", "wire.cc"),
+             FIXTURE_UNCHECKED_INT),
             (os.path.join("src", "foo", "metric_names.cc"),
              FIXTURE_METRIC_NAMES),
             (os.path.join("src", "foo", "fastpath.cc"),
@@ -573,6 +615,12 @@ def self_test():
                "array, toJsonValue, FromJsonValue, net::errorResponse, "
                "jsonErrorBody, .status = 5xx), got %s"
                % [str(f) for f in wire], failures)
+
+        unchecked = by_rule.get("unchecked-int", [])
+        expect(len(unchecked) == 1 and unchecked[0].line == 2 and
+               unchecked[0].path.endswith("wire.cc"),
+               "unchecked-int: expected the 1 seeded hit on line 2, "
+               "got %s" % [str(f) for f in unchecked], failures)
 
         metric = by_rule.get("metric-naming", [])
         expect(len(metric) == 3 and

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <limits>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 #include "sim/engine.h"
@@ -19,88 +21,304 @@ using json::Value;
 /** Largest double magnitude that still represents integers exactly. */
 constexpr double kMaxExactInt = 9007199254740992.0; // 2^53
 
-// ------------------------------------------------------------ encoders
+/** Keys the decoders also look up by hand: the version envelope and
+ *  SweepRequest's optional fields. */
+constexpr std::string_view kVersionKey = "version";
+constexpr std::string_view kDeadlineMs = "deadline_ms";
+constexpr std::string_view kPlans = "plans";
+constexpr std::string_view kSpec = "spec";
 
+// ------------------------------------------------------------- schemas
+//
+// Each wire type is written once, as a field list: the key each member
+// travels under, in encoding order.  One generic encoder and one
+// generic decoder walk these lists, and strictness (rejecting keys
+// outside the list, at every nesting level) is a decoder parameter,
+// so adding a field is a one-line change that every codec sees.
+
+template <typename T, typename M>
+struct Field {
+    std::string_view key;
+    M T::*member;
+    /**
+     * Set only on optional fields: whether the encoder writes this
+     * one.  Optional fields are decoded by their type's own decode(),
+     * because their presence carries meaning a list cannot express.
+     */
+    bool (*present)(const T &) = nullptr;
+};
+
+template <typename T, typename M>
+constexpr Field<T, M>
+field(std::string_view key, M T::*member,
+      std::type_identity_t<bool (*)(const T &)> present = nullptr)
+{
+    return {key, member, present};
+}
+
+/**
+ * Schema<T>::what names the type in strict errors ("unknown field 'x'
+ * in <what>"); types that declare ::versioned carry the {"version": 1}
+ * envelope wherever they appear, nested or not.
+ */
+template <typename T>
+struct Schema;
+
+template <>
+struct Schema<GpuSpec> {
+    static constexpr std::string_view what = "gpu";
+    static constexpr auto fields = std::make_tuple(
+        field("name", &GpuSpec::name),
+        field("peak_fp16_flops", &GpuSpec::peak_fp16_flops),
+        field("peak_fp32_flops", &GpuSpec::peak_fp32_flops),
+        field("hbm_bandwidth", &GpuSpec::hbm_bandwidth),
+        field("memory_bytes", &GpuSpec::memory_bytes),
+        field("kernel_launch_overhead", &GpuSpec::kernel_launch_overhead));
+};
+
+template <>
+struct Schema<NodeSpec> {
+    static constexpr std::string_view what = "node";
+    static constexpr auto fields = std::make_tuple(
+        field("gpu", &NodeSpec::gpu),
+        field("gpus_per_node", &NodeSpec::gpus_per_node),
+        field("nvlink_bandwidth", &NodeSpec::nvlink_bandwidth),
+        field("nic_bandwidth", &NodeSpec::nic_bandwidth),
+        field("nic_latency", &NodeSpec::nic_latency),
+        field("nvlink_latency", &NodeSpec::nvlink_latency));
+};
+
+template <>
+struct Schema<ClusterSpec> {
+    static constexpr std::string_view what = "cluster";
+    static constexpr auto fields = std::make_tuple(
+        field("node", &ClusterSpec::node),
+        field("num_nodes", &ClusterSpec::num_nodes),
+        field("bandwidth_effectiveness",
+              &ClusterSpec::bandwidth_effectiveness),
+        field("hierarchical_allreduce",
+              &ClusterSpec::hierarchical_allreduce));
+};
+
+template <>
+struct Schema<ModelConfig> {
+    static constexpr std::string_view what = "model";
+    static constexpr auto fields = std::make_tuple(
+        field("name", &ModelConfig::name),
+        field("hidden_size", &ModelConfig::hidden_size),
+        field("num_layers", &ModelConfig::num_layers),
+        field("seq_length", &ModelConfig::seq_length),
+        field("num_heads", &ModelConfig::num_heads),
+        field("vocab_size", &ModelConfig::vocab_size));
+};
+
+template <>
+struct Schema<ParallelConfig> {
+    static constexpr std::string_view what = "plan";
+    static constexpr auto fields = std::make_tuple(
+        field("tensor", &ParallelConfig::tensor),
+        field("data", &ParallelConfig::data),
+        field("pipeline", &ParallelConfig::pipeline),
+        field("micro_batch_size", &ParallelConfig::micro_batch_size),
+        field("global_batch_size", &ParallelConfig::global_batch_size),
+        field("schedule", &ParallelConfig::schedule),
+        field("gradient_bucketing", &ParallelConfig::gradient_bucketing),
+        field("bucket_bytes", &ParallelConfig::bucket_bytes),
+        field("activation_recompute",
+              &ParallelConfig::activation_recompute),
+        field("zero_stage", &ParallelConfig::zero_stage),
+        field("precision", &ParallelConfig::precision));
+};
+
+template <>
+struct Schema<SimOptions> {
+    static constexpr std::string_view what = "options";
+    // The perturber is process-local and never crosses the wire.
+    static constexpr auto fields = std::make_tuple(
+        field("fast_mode", &SimOptions::fast_mode),
+        field("memoize_profiles", &SimOptions::memoize_profiles),
+        field("collapse_operators", &SimOptions::collapse_operators),
+        field("attention", &SimOptions::attention));
+};
+
+template <>
+struct Schema<SimRequest> {
+    static constexpr std::string_view what = "request document";
+    static constexpr bool versioned = true;
+    static constexpr auto fields = std::make_tuple(
+        field("model", &SimRequest::model),
+        field("parallel", &SimRequest::parallel),
+        field("cluster", &SimRequest::cluster),
+        field("options", &SimRequest::options));
+};
+
+template <>
+struct Schema<SimulationResult> {
+    static constexpr std::string_view what = "result";
+    static constexpr bool versioned = true;
+    static constexpr auto fields = std::make_tuple(
+        field("iteration_seconds", &SimulationResult::iteration_seconds),
+        field("utilization", &SimulationResult::utilization),
+        field("model_flops", &SimulationResult::model_flops),
+        field("bubble_fraction", &SimulationResult::bubble_fraction),
+        field("time_by_tag", &SimulationResult::time_by_tag),
+        field("num_operators", &SimulationResult::num_operators),
+        field("num_tasks", &SimulationResult::num_tasks),
+        field("distinct_operators_profiled",
+              &SimulationResult::distinct_operators_profiled),
+        field("profiler_calls", &SimulationResult::profiler_calls),
+        field("extrapolated", &SimulationResult::extrapolated),
+        field("simulated_micro_batches",
+              &SimulationResult::simulated_micro_batches),
+        field("total_micro_batches",
+              &SimulationResult::total_micro_batches),
+        field("sim_wall_seconds", &SimulationResult::sim_wall_seconds));
+};
+
+template <>
+struct Schema<SweepSpec> {
+    static constexpr std::string_view what = "spec";
+    static constexpr auto fields = std::make_tuple(
+        field("max_tensor", &SweepSpec::max_tensor),
+        field("max_data", &SweepSpec::max_data),
+        field("max_pipeline", &SweepSpec::max_pipeline),
+        field("micro_batch_sizes", &SweepSpec::micro_batch_sizes),
+        field("min_gpus", &SweepSpec::min_gpus),
+        field("max_gpus", &SweepSpec::max_gpus),
+        field("exact_gpus", &SweepSpec::exact_gpus),
+        field("require_memory_fit", &SweepSpec::require_memory_fit),
+        field("global_batch_size", &SweepSpec::global_batch_size),
+        field("schedule", &SweepSpec::schedule),
+        field("gradient_bucketing", &SweepSpec::gradient_bucketing),
+        field("activation_recompute", &SweepSpec::activation_recompute),
+        field("precision", &SweepSpec::precision));
+};
+
+template <>
+struct Schema<ExploreResult> {
+    static constexpr std::string_view what = "explore result";
+    // The embedded result keeps its own versioned payload, as
+    // evaluate_batch does.
+    static constexpr auto fields =
+        std::make_tuple(field("plan", &ExploreResult::plan),
+                        field("result", &ExploreResult::sim));
+};
+
+template <>
+struct Schema<v1::SweepRequest> {
+    using T = v1::SweepRequest;
+    static constexpr std::string_view what = "sweep request";
+    static constexpr bool versioned = true;
+    static constexpr auto fields = std::make_tuple(
+        field("model", &T::model), field("cluster", &T::cluster),
+        field("options", &T::options),
+        field(kPlans, &T::plans,
+              [](const T &request) { return !request.use_spec; }),
+        field(kSpec, &T::spec,
+              [](const T &request) { return request.use_spec; }),
+        field(kDeadlineMs, &T::deadline_ms,
+              [](const T &request) { return request.deadline_ms >= 0; }));
+};
+
+/** The {"version":1,"results":[…]} response of evaluate_batch and
+ *  sweep (only the latter is ever decoded, hence `what`). */
+template <typename R>
+struct ResultList {
+    std::vector<R> results;
+};
+
+template <typename R>
+struct Schema<ResultList<R>> {
+    static constexpr std::string_view what = "sweep response";
+    static constexpr bool versioned = true;
+    static constexpr auto fields =
+        std::make_tuple(field("results", &ResultList<R>::results));
+};
+
+/** Enums travel as their toString() names; `last` bounds the scan. */
+template <typename E>
+struct EnumWire;
+
+template <>
+struct EnumWire<Precision> {
+    static constexpr Precision last = Precision::FP32;
+    static constexpr std::string_view noun = "precision";
+};
+
+template <>
+struct EnumWire<PipelineSchedule> {
+    static constexpr PipelineSchedule last = PipelineSchedule::OneFOneB;
+    static constexpr std::string_view noun = "pipeline schedule";
+};
+
+template <>
+struct EnumWire<AttentionImpl> {
+    static constexpr AttentionImpl last = AttentionImpl::FlashAttention2;
+    static constexpr std::string_view noun = "attention impl";
+};
+
+template <typename T>
+concept WireStruct = requires { Schema<T>::fields; };
+
+template <typename T>
+constexpr bool kVersioned = requires { Schema<T>::versioned; };
+
+template <typename M>
+constexpr bool kIsVector = false;
+template <typename E>
+constexpr bool kIsVector<std::vector<E>> = true;
+
+/** Calls fn on each field of T in order, stopping at the first false. */
+template <typename T, typename Fn>
+bool
+eachField(Fn &&fn)
+{
+    return std::apply([&](const auto &...f) { return (fn(f) && ...); },
+                      Schema<T>::fields);
+}
+
+// ------------------------------------------------------------ encoding
+
+template <typename T>
+Value encodeObject(const T &object);
+
+template <typename M>
 Value
-gpuToJson(const GpuSpec &gpu)
+encodeValue(const M &value)
+{
+    if constexpr (std::is_same_v<M, bool> || std::is_same_v<M, double> ||
+                  std::is_same_v<M, std::string>) {
+        return Value(value);
+    } else if constexpr (std::is_integral_v<M>) {
+        return Value(static_cast<int64_t>(value));
+    } else if constexpr (std::is_enum_v<M>) {
+        return Value(toString(value));
+    } else if constexpr (WireStruct<M>) {
+        return encodeObject(value);
+    } else { // std::vector or std::array
+        Value items = Value::array();
+        for (const auto &item : value)
+            items.push(encodeValue(item));
+        return items;
+    }
+}
+
+template <typename T>
+Value
+encodeObject(const T &object)
 {
     Value v = Value::object();
-    v.set("name", gpu.name);
-    v.set("peak_fp16_flops", gpu.peak_fp16_flops);
-    v.set("peak_fp32_flops", gpu.peak_fp32_flops);
-    v.set("hbm_bandwidth", gpu.hbm_bandwidth);
-    v.set("memory_bytes", gpu.memory_bytes);
-    v.set("kernel_launch_overhead", gpu.kernel_launch_overhead);
+    if constexpr (kVersioned<T>)
+        v.set(std::string(kVersionKey), kVersion);
+    eachField<T>([&](const auto &f) {
+        if (!f.present || f.present(object))
+            v.set(std::string(f.key), encodeValue(object.*f.member));
+        return true;
+    });
     return v;
 }
 
-Value
-nodeToJson(const NodeSpec &node)
-{
-    Value v = Value::object();
-    v.set("gpu", gpuToJson(node.gpu));
-    v.set("gpus_per_node", int64_t{node.gpus_per_node});
-    v.set("nvlink_bandwidth", node.nvlink_bandwidth);
-    v.set("nic_bandwidth", node.nic_bandwidth);
-    v.set("nic_latency", node.nic_latency);
-    v.set("nvlink_latency", node.nvlink_latency);
-    return v;
-}
-
-Value
-clusterToJson(const ClusterSpec &cluster)
-{
-    Value v = Value::object();
-    v.set("node", nodeToJson(cluster.node));
-    v.set("num_nodes", int64_t{cluster.num_nodes});
-    v.set("bandwidth_effectiveness", cluster.bandwidth_effectiveness);
-    v.set("hierarchical_allreduce", cluster.hierarchical_allreduce);
-    return v;
-}
-
-Value
-modelToJson(const ModelConfig &model)
-{
-    Value v = Value::object();
-    v.set("name", model.name);
-    v.set("hidden_size", model.hidden_size);
-    v.set("num_layers", model.num_layers);
-    v.set("seq_length", model.seq_length);
-    v.set("num_heads", model.num_heads);
-    v.set("vocab_size", model.vocab_size);
-    return v;
-}
-
-Value
-parallelToJson(const ParallelConfig &plan)
-{
-    Value v = Value::object();
-    v.set("tensor", int64_t{plan.tensor});
-    v.set("data", int64_t{plan.data});
-    v.set("pipeline", int64_t{plan.pipeline});
-    v.set("micro_batch_size", int64_t{plan.micro_batch_size});
-    v.set("global_batch_size", int64_t{plan.global_batch_size});
-    v.set("schedule", toString(plan.schedule));
-    v.set("gradient_bucketing", plan.gradient_bucketing);
-    v.set("bucket_bytes", plan.bucket_bytes);
-    v.set("activation_recompute", plan.activation_recompute);
-    v.set("zero_stage", int64_t{plan.zero_stage});
-    v.set("precision", toString(plan.precision));
-    return v;
-}
-
-Value
-optionsToJson(const SimOptions &options)
-{
-    Value v = Value::object();
-    v.set("fast_mode", options.fast_mode);
-    v.set("memoize_profiles", options.memoize_profiles);
-    v.set("collapse_operators", options.collapse_operators);
-    v.set("attention", toString(options.attention));
-    return v;
-}
-
-// ------------------------------------------------------------ decoders
+// ------------------------------------------------------------ decoding
 
 bool
 decodeError(std::string *error, const std::string &what)
@@ -110,219 +328,113 @@ decodeError(std::string *error, const std::string &what)
     return false;
 }
 
-const Value *
-member(const Value &obj, std::string_view key, Value::Type type,
-       std::string *error)
+bool
+mistyped(std::string_view key, std::string *error)
 {
-    const Value *v = obj.find(key);
-    if (!v || v->type() != type) {
-        if (error)
-            *error = "missing or mistyped field '" + std::string(key) +
-                     "'";
-        return nullptr;
+    return decodeError(error, "missing or mistyped field '" +
+                                  std::string(key) + "'");
+}
+
+template <typename T>
+bool decodeObject(const Value &v, T *out, bool strict,
+                  std::string *error);
+
+/**
+ * Decodes one value of the field `key` (which names it in errors).
+ * Integers are checked: a fraction, or a value the target type cannot
+ * hold, is an error rather than a silent narrowing — the decoder is
+ * the cross-process input boundary.
+ */
+template <typename M>
+bool
+decodeValue(const Value &v, std::string_view key, M *out, bool strict,
+            std::string *error)
+{
+    if constexpr (std::is_same_v<M, bool>) {
+        if (!v.isBool())
+            return mistyped(key, error);
+        *out = v.asBool();
+    } else if constexpr (std::is_same_v<M, double>) {
+        if (!v.isNumber())
+            return mistyped(key, error);
+        *out = v.asNumber();
+    } else if constexpr (std::is_same_v<M, std::string>) {
+        if (!v.isString())
+            return mistyped(key, error);
+        *out = v.asString();
+    } else if constexpr (std::is_integral_v<M>) {
+        if (!v.isNumber())
+            return mistyped(key, error);
+        const double d = v.asNumber();
+        if (std::nearbyint(d) != d)
+            return decodeError(error, "field '" + std::string(key) +
+                                          "' is not an integer");
+        // Within +/-2^53 every integer is exact, so the limit
+        // comparisons are themselves safe.
+        if (d < -kMaxExactInt || d > kMaxExactInt ||
+            d < static_cast<double>(std::numeric_limits<M>::min()) ||
+            d > static_cast<double>(std::numeric_limits<M>::max()))
+            return decodeError(error, "field '" + std::string(key) +
+                                          "' is out of range");
+        *out = static_cast<M>(d);
+    } else if constexpr (std::is_enum_v<M>) {
+        if (!v.isString())
+            return mistyped(key, error);
+        for (int i = 0; i <= static_cast<int>(EnumWire<M>::last); ++i) {
+            if (toString(static_cast<M>(i)) == v.asString()) {
+                *out = static_cast<M>(i);
+                return true;
+            }
+        }
+        return decodeError(error, "unknown " +
+                                      std::string(EnumWire<M>::noun) +
+                                      " '" + v.asString() + "'");
+    } else if constexpr (WireStruct<M>) {
+        if (!v.isObject())
+            return mistyped(key, error);
+        return decodeObject(v, out, strict, error);
+    } else { // std::vector or std::array
+        if (!v.isArray())
+            return mistyped(key, error);
+        const std::vector<Value> &items = v.items();
+        if constexpr (kIsVector<M>) {
+            out->resize(items.size());
+        } else if (items.size() != out->size()) {
+            return decodeError(error, std::string(key) + " must have " +
+                                          std::to_string(out->size()) +
+                                          " entries");
+        }
+        for (size_t i = 0; i < items.size(); ++i) {
+            if (!decodeValue(items[i], key, &(*out)[i], strict, error)) {
+                // "bad plan at index 3: …": the array's key, singular.
+                std::string item(key);
+                if (item.back() == 's')
+                    item.pop_back();
+                return decodeError(error, "bad " + item + " at index " +
+                                              std::to_string(i) + ": " +
+                                              (error ? *error : ""));
+            }
+        }
     }
-    return v;
+    return true;
 }
 
+/** Decodes the required member `key` of `object`. */
+template <typename M>
 bool
-getNumber(const Value &obj, std::string_view key, double *out,
+readField(const Value &object, std::string_view key, M *out, bool strict,
           std::string *error)
 {
-    const Value *v = member(obj, key, Value::Type::Number, error);
-    if (!v)
-        return false;
-    *out = v->asNumber();
-    return true;
-}
-
-template <typename Int>
-bool
-getInt(const Value &obj, std::string_view key, Int *out,
-       std::string *error)
-{
-    const Value *v = member(obj, key, Value::Type::Number, error);
-    if (!v)
-        return false;
-    const double d = v->asNumber();
-    if (std::nearbyint(d) != d)
-        return decodeError(error, "field '" + std::string(key) +
-                                      "' is not an integer");
-    // Reject values the target type cannot hold: the decoder is the
-    // cross-process input boundary, and an unchecked narrowing cast
-    // from double is undefined behavior.  Within +/-2^53 every
-    // integer is exact, so the limit comparisons are themselves safe.
-    if (d < -kMaxExactInt || d > kMaxExactInt ||
-        d < static_cast<double>(std::numeric_limits<Int>::min()) ||
-        d > static_cast<double>(std::numeric_limits<Int>::max()))
-        return decodeError(error, "field '" + std::string(key) +
-                                      "' is out of range");
-    *out = static_cast<Int>(d);
-    return true;
-}
-
-bool
-getBool(const Value &obj, std::string_view key, bool *out,
-        std::string *error)
-{
-    const Value *v = member(obj, key, Value::Type::Bool, error);
-    if (!v)
-        return false;
-    *out = v->asBool();
-    return true;
-}
-
-bool
-getString(const Value &obj, std::string_view key, std::string *out,
-          std::string *error)
-{
-    const Value *v = member(obj, key, Value::Type::String, error);
-    if (!v)
-        return false;
-    *out = v->asString();
-    return true;
-}
-
-bool
-parsePrecision(const std::string &s, Precision *out, std::string *error)
-{
-    if (s == "fp16")
-        *out = Precision::FP16;
-    else if (s == "bf16")
-        *out = Precision::BF16;
-    else if (s == "fp32")
-        *out = Precision::FP32;
-    else
-        return decodeError(error, "unknown precision '" + s + "'");
-    return true;
-}
-
-bool
-parseSchedule(const std::string &s, PipelineSchedule *out,
-              std::string *error)
-{
-    if (s == "gpipe")
-        *out = PipelineSchedule::GPipe;
-    else if (s == "1f1b")
-        *out = PipelineSchedule::OneFOneB;
-    else
-        return decodeError(error,
-                           "unknown pipeline schedule '" + s + "'");
-    return true;
-}
-
-bool
-parseAttention(const std::string &s, AttentionImpl *out,
-               std::string *error)
-{
-    if (s == "megatron")
-        *out = AttentionImpl::Megatron;
-    else if (s == "flash-attention")
-        *out = AttentionImpl::FlashAttention;
-    else if (s == "flash-attention-2")
-        *out = AttentionImpl::FlashAttention2;
-    else
-        return decodeError(error,
-                           "unknown attention impl '" + s + "'");
-    return true;
-}
-
-bool
-gpuFromJson(const Value &v, GpuSpec *out, std::string *error)
-{
-    return getString(v, "name", &out->name, error) &&
-           getNumber(v, "peak_fp16_flops", &out->peak_fp16_flops,
-                     error) &&
-           getNumber(v, "peak_fp32_flops", &out->peak_fp32_flops,
-                     error) &&
-           getNumber(v, "hbm_bandwidth", &out->hbm_bandwidth, error) &&
-           getNumber(v, "memory_bytes", &out->memory_bytes, error) &&
-           getNumber(v, "kernel_launch_overhead",
-                     &out->kernel_launch_overhead, error);
-}
-
-bool
-nodeFromJson(const Value &v, NodeSpec *out, std::string *error)
-{
-    const Value *gpu = member(v, "gpu", Value::Type::Object, error);
-    if (!gpu || !gpuFromJson(*gpu, &out->gpu, error))
-        return false;
-    return getInt(v, "gpus_per_node", &out->gpus_per_node, error) &&
-           getNumber(v, "nvlink_bandwidth", &out->nvlink_bandwidth,
-                     error) &&
-           getNumber(v, "nic_bandwidth", &out->nic_bandwidth, error) &&
-           getNumber(v, "nic_latency", &out->nic_latency, error) &&
-           getNumber(v, "nvlink_latency", &out->nvlink_latency, error);
-}
-
-bool
-clusterFromJson(const Value &v, ClusterSpec *out, std::string *error)
-{
-    const Value *node = member(v, "node", Value::Type::Object, error);
-    if (!node || !nodeFromJson(*node, &out->node, error))
-        return false;
-    return getInt(v, "num_nodes", &out->num_nodes, error) &&
-           getNumber(v, "bandwidth_effectiveness",
-                     &out->bandwidth_effectiveness, error) &&
-           getBool(v, "hierarchical_allreduce",
-                   &out->hierarchical_allreduce, error);
-}
-
-bool
-modelFromJson(const Value &v, ModelConfig *out, std::string *error)
-{
-    return getString(v, "name", &out->name, error) &&
-           getInt(v, "hidden_size", &out->hidden_size, error) &&
-           getInt(v, "num_layers", &out->num_layers, error) &&
-           getInt(v, "seq_length", &out->seq_length, error) &&
-           getInt(v, "num_heads", &out->num_heads, error) &&
-           getInt(v, "vocab_size", &out->vocab_size, error);
-}
-
-bool
-parallelFromJson(const Value &v, ParallelConfig *out, std::string *error)
-{
-    std::string schedule;
-    std::string precision;
-    if (!(getInt(v, "tensor", &out->tensor, error) &&
-          getInt(v, "data", &out->data, error) &&
-          getInt(v, "pipeline", &out->pipeline, error) &&
-          getInt(v, "micro_batch_size", &out->micro_batch_size,
-                 error) &&
-          getInt(v, "global_batch_size", &out->global_batch_size,
-                 error) &&
-          getString(v, "schedule", &schedule, error) &&
-          getBool(v, "gradient_bucketing", &out->gradient_bucketing,
-                  error) &&
-          getNumber(v, "bucket_bytes", &out->bucket_bytes, error) &&
-          getBool(v, "activation_recompute",
-                  &out->activation_recompute, error) &&
-          getInt(v, "zero_stage", &out->zero_stage, error) &&
-          getString(v, "precision", &precision, error)))
-        return false;
-    return parseSchedule(schedule, &out->schedule, error) &&
-           parsePrecision(precision, &out->precision, error);
-}
-
-bool
-optionsFromJson(const Value &v, SimOptions *out, std::string *error)
-{
-    std::string attention;
-    if (!(getBool(v, "fast_mode", &out->fast_mode, error) &&
-          getBool(v, "memoize_profiles", &out->memoize_profiles,
-                  error) &&
-          getBool(v, "collapse_operators", &out->collapse_operators,
-                  error) &&
-          getString(v, "attention", &attention, error)))
-        return false;
-    out->perturber = nullptr;
-    return parseAttention(attention, &out->attention, error);
+    const Value *v = object.find(key);
+    return v ? decodeValue(*v, key, out, strict, error)
+             : mistyped(key, error);
 }
 
 bool
 checkVersion(const Value &root, std::string *error)
 {
     int64_t version = 0;
-    if (!getInt(root, "version", &version, error))
+    if (!readField(root, kVersionKey, &version, false, error))
         return false;
     if (version != kVersion)
         return decodeError(error, "unsupported wire version " +
@@ -330,113 +442,83 @@ checkVersion(const Value &root, std::string *error)
     return true;
 }
 
-// ------------------------------------------------------------ strictness
-//
-// The sweep codecs reject documents with fields outside the schema,
-// at every nesting level: a typo'd bound must fail the request, not
-// silently fall back to a default and enumerate the wrong space.
-
+/**
+ * Fills *out from the object `v`.  Strict decoding first rejects any
+ * key outside T's field list (the sweep codecs: a typo'd bound must
+ * fail the request, not silently fall back to a default); lax decoding
+ * ignores them (the evaluate codecs, for older clients).
+ */
+template <typename T>
 bool
-onlyKnownKeys(const Value &obj,
-              std::initializer_list<std::string_view> keys,
-              std::string_view what, std::string *error)
+decodeObject(const Value &v, T *out, bool strict, std::string *error)
 {
-    for (const auto &[key, value] : obj.members()) {
-        (void)value;
-        bool known = false;
-        for (const std::string_view k : keys) {
-            if (key == k) {
-                known = true;
-                break;
-            }
+    if (strict) {
+        for (const auto &member : v.members()) {
+            const std::string &key = member.first;
+            const bool known =
+                (kVersioned<T> && key == kVersionKey) ||
+                !eachField<T>([&](const auto &f) { return f.key != key; });
+            if (!known)
+                return decodeError(error, "unknown field '" + key +
+                                              "' in " +
+                                              std::string(Schema<T>::what));
         }
-        if (!known)
-            return decodeError(error, "unknown field '" + key +
-                                          "' in " + std::string(what));
     }
+    if (kVersioned<T> && !checkVersion(v, error))
+        return false;
+    return eachField<T>([&](const auto &f) {
+        return f.present ||
+               readField(v, f.key, &(out->*f.member), strict, error);
+    });
+}
+
+/** A whole document: *out changes only when the decode succeeds. */
+template <typename T>
+bool
+decodeDocument(const Value &root, T *out, bool strict,
+               std::string *error)
+{
+    if (!root.isObject())
+        return decodeError(error, std::string(Schema<T>::what) +
+                                      " is not an object");
+    T decoded;
+    if (!decodeObject(root, &decoded, strict, error))
+        return false;
+    *out = std::move(decoded);
     return true;
 }
 
+template <typename T>
 bool
-strictGpu(const Value &v, GpuSpec *out, std::string *error)
+decodeText(std::string_view text, T *out, std::string *error)
 {
-    return onlyKnownKeys(v,
-                         {"name", "peak_fp16_flops", "peak_fp32_flops",
-                          "hbm_bandwidth", "memory_bytes",
-                          "kernel_launch_overhead"},
-                         "gpu", error) &&
-           gpuFromJson(v, out, error);
+    Value root;
+    return Value::parse(text, &root, error) &&
+           v1::decode(root, out, error);
 }
 
+/** The optional "deadline_ms" budget of every /v1 request (-1 when
+ *  absent; a present value must be a non-negative integer). */
 bool
-strictNode(const Value &v, NodeSpec *out, std::string *error)
+readDeadline(const Value &root, int64_t *deadline_ms, std::string *error)
 {
-    if (!onlyKnownKeys(v,
-                       {"gpu", "gpus_per_node", "nvlink_bandwidth",
-                        "nic_bandwidth", "nic_latency",
-                        "nvlink_latency"},
-                       "node", error))
+    *deadline_ms = -1;
+    if (!root.find(kDeadlineMs))
+        return true;
+    if (!readField(root, kDeadlineMs, deadline_ms, false, error))
         return false;
-    const Value *gpu = member(v, "gpu", Value::Type::Object, error);
-    if (!gpu || !strictGpu(*gpu, &out->gpu, error))
-        return false;
-    return getInt(v, "gpus_per_node", &out->gpus_per_node, error) &&
-           getNumber(v, "nvlink_bandwidth", &out->nvlink_bandwidth,
-                     error) &&
-           getNumber(v, "nic_bandwidth", &out->nic_bandwidth, error) &&
-           getNumber(v, "nic_latency", &out->nic_latency, error) &&
-           getNumber(v, "nvlink_latency", &out->nvlink_latency, error);
+    if (*deadline_ms < 0)
+        return decodeError(error, "'deadline_ms' must be a "
+                                  "non-negative integer");
+    return true;
 }
 
-bool
-strictCluster(const Value &v, ClusterSpec *out, std::string *error)
+void
+requireSerializable(const SimOptions &options)
 {
-    if (!onlyKnownKeys(v,
-                       {"node", "num_nodes", "bandwidth_effectiveness",
-                        "hierarchical_allreduce"},
-                       "cluster", error))
-        return false;
-    const Value *node = member(v, "node", Value::Type::Object, error);
-    if (!node || !strictNode(*node, &out->node, error))
-        return false;
-    return getInt(v, "num_nodes", &out->num_nodes, error) &&
-           getNumber(v, "bandwidth_effectiveness",
-                     &out->bandwidth_effectiveness, error) &&
-           getBool(v, "hierarchical_allreduce",
-                   &out->hierarchical_allreduce, error);
-}
-
-bool
-strictModel(const Value &v, ModelConfig *out, std::string *error)
-{
-    return onlyKnownKeys(v,
-                         {"name", "hidden_size", "num_layers",
-                          "seq_length", "num_heads", "vocab_size"},
-                         "model", error) &&
-           modelFromJson(v, out, error);
-}
-
-bool
-strictPlan(const Value &v, ParallelConfig *out, std::string *error)
-{
-    return onlyKnownKeys(v,
-                         {"tensor", "data", "pipeline",
-                          "micro_batch_size", "global_batch_size",
-                          "schedule", "gradient_bucketing",
-                          "bucket_bytes", "activation_recompute",
-                          "zero_stage", "precision"},
-                         "plan", error) &&
-           parallelFromJson(v, out, error);
-}
-
-bool
-strictOptions(const Value &v, SimOptions *out, std::string *error)
-{
-    return onlyKnownKeys(v,
-                         {"fast_mode", "memoize_profiles",
-                          "collapse_operators", "attention"},
-                         "options", error) &&
-           optionsFromJson(v, out, error);
+    VTRAIN_REQUIRE(options.perturber == nullptr,
+                   "requests carrying a perturber are process-local "
+                   "and cannot be serialized");
 }
 
 /** A finished capture's spans as a JSON object (inline trace flag). */
@@ -479,6 +561,15 @@ cacheStatsToJson(const Stats &cache)
     return v;
 }
 
+/** Sets a 400 "bad request payload" envelope; always returns false. */
+bool
+badPayload(net::HttpResponse *error_response, const std::string &error)
+{
+    *error_response = net::errorResponse(400, "bad request payload: " +
+                                                  error);
+    return false;
+}
+
 } // namespace
 
 namespace v1 {
@@ -486,337 +577,90 @@ namespace v1 {
 Value
 encode(const SimRequest &request)
 {
-    VTRAIN_REQUIRE(request.options.perturber == nullptr,
-                   "requests carrying a perturber are process-local "
-                   "and cannot be serialized");
-    Value v = Value::object();
-    v.set("version", kVersion);
-    v.set("model", modelToJson(request.model));
-    v.set("parallel", parallelToJson(request.parallel));
-    v.set("cluster", clusterToJson(request.cluster));
-    v.set("options", optionsToJson(request.options));
-    return v;
+    requireSerializable(request.options);
+    return encodeObject(request);
 }
 
 Value
 encode(const SimulationResult &result)
 {
-    Value v = Value::object();
-    v.set("version", kVersion);
-    v.set("iteration_seconds", result.iteration_seconds);
-    v.set("utilization", result.utilization);
-    v.set("model_flops", result.model_flops);
-    v.set("bubble_fraction", result.bubble_fraction);
-    Value tags = Value::array();
-    for (const double t : result.time_by_tag)
-        tags.push(Value(t));
-    v.set("time_by_tag", std::move(tags));
-    v.set("num_operators", static_cast<int64_t>(result.num_operators));
-    v.set("num_tasks", static_cast<int64_t>(result.num_tasks));
-    v.set("distinct_operators_profiled",
-          static_cast<int64_t>(result.distinct_operators_profiled));
-    v.set("profiler_calls",
-          static_cast<int64_t>(result.profiler_calls));
-    v.set("extrapolated", result.extrapolated);
-    v.set("simulated_micro_batches",
-          int64_t{result.simulated_micro_batches});
-    v.set("total_micro_batches", int64_t{result.total_micro_batches});
-    v.set("sim_wall_seconds", result.sim_wall_seconds);
-    return v;
+    return encodeObject(result);
 }
 
 bool
 decode(const json::Value &root, SimRequest *out, std::string *error)
 {
-    if (!root.isObject())
-        return decodeError(error, "request document is not an object");
-    if (!checkVersion(root, error))
-        return false;
-    const Value *model = member(root, "model", Value::Type::Object,
-                                error);
-    const Value *parallel =
-        member(root, "parallel", Value::Type::Object, error);
-    const Value *cluster =
-        member(root, "cluster", Value::Type::Object, error);
-    const Value *options =
-        member(root, "options", Value::Type::Object, error);
-    if (!model || !parallel || !cluster || !options)
-        return false;
-    SimRequest request;
-    if (!modelFromJson(*model, &request.model, error) ||
-        !parallelFromJson(*parallel, &request.parallel, error) ||
-        !clusterFromJson(*cluster, &request.cluster, error) ||
-        !optionsFromJson(*options, &request.options, error))
-        return false;
-    *out = std::move(request);
-    return true;
+    return decodeDocument(root, out, /*strict=*/false, error);
 }
 
 bool
 decode(const json::Value &root, SimulationResult *out,
        std::string *error)
 {
-    if (!root.isObject())
-        return decodeError(error, "result document is not an object");
-    if (!checkVersion(root, error))
-        return false;
-    SimulationResult result;
-    const Value *tags =
-        member(root, "time_by_tag", Value::Type::Array, error);
-    if (!tags)
-        return false;
-    if (tags->items().size() != result.time_by_tag.size())
-        return decodeError(error, "time_by_tag must have " +
-                                      std::to_string(
-                                          result.time_by_tag.size()) +
-                                      " entries");
-    for (size_t i = 0; i < result.time_by_tag.size(); ++i) {
-        const Value &t = tags->items()[i];
-        if (!t.isNumber())
-            return decodeError(error, "time_by_tag entries must be "
-                                      "numbers");
-        result.time_by_tag[i] = t.asNumber();
-    }
-    if (!(getNumber(root, "iteration_seconds",
-                    &result.iteration_seconds, error) &&
-          getNumber(root, "utilization", &result.utilization, error) &&
-          getNumber(root, "model_flops", &result.model_flops, error) &&
-          getNumber(root, "bubble_fraction", &result.bubble_fraction,
-                    error) &&
-          getInt(root, "num_operators", &result.num_operators,
-                 error) &&
-          getInt(root, "num_tasks", &result.num_tasks, error) &&
-          getInt(root, "distinct_operators_profiled",
-                 &result.distinct_operators_profiled, error) &&
-          getInt(root, "profiler_calls", &result.profiler_calls,
-                 error) &&
-          getBool(root, "extrapolated", &result.extrapolated, error) &&
-          getInt(root, "simulated_micro_batches",
-                 &result.simulated_micro_batches, error) &&
-          getInt(root, "total_micro_batches",
-                 &result.total_micro_batches, error) &&
-          getNumber(root, "sim_wall_seconds", &result.sim_wall_seconds,
-                    error)))
-        return false;
-    *out = result;
-    return true;
+    return decodeDocument(root, out, /*strict=*/false, error);
 }
 
 bool
 decode(std::string_view text, SimRequest *out, std::string *error)
 {
-    Value root;
-    if (!Value::parse(text, &root, error))
-        return false;
-    return decode(root, out, error);
+    return decodeText(text, out, error);
 }
 
 bool
 decode(std::string_view text, SimulationResult *out, std::string *error)
 {
-    Value root;
-    if (!Value::parse(text, &root, error))
-        return false;
-    return decode(root, out, error);
+    return decodeText(text, out, error);
 }
 
 Value
 encode(const SweepSpec &spec)
 {
-    Value v = Value::object();
-    v.set("max_tensor", int64_t{spec.max_tensor});
-    v.set("max_data", int64_t{spec.max_data});
-    v.set("max_pipeline", int64_t{spec.max_pipeline});
-    Value sizes = Value::array();
-    for (const int m : spec.micro_batch_sizes)
-        sizes.push(Value(int64_t{m}));
-    v.set("micro_batch_sizes", std::move(sizes));
-    v.set("min_gpus", int64_t{spec.min_gpus});
-    v.set("max_gpus", int64_t{spec.max_gpus});
-    v.set("exact_gpus", int64_t{spec.exact_gpus});
-    v.set("require_memory_fit", spec.require_memory_fit);
-    v.set("global_batch_size", int64_t{spec.global_batch_size});
-    v.set("schedule", toString(spec.schedule));
-    v.set("gradient_bucketing", spec.gradient_bucketing);
-    v.set("activation_recompute", spec.activation_recompute);
-    v.set("precision", toString(spec.precision));
-    return v;
+    return encodeObject(spec);
 }
 
 bool
 decode(const json::Value &root, SweepSpec *out, std::string *error)
 {
-    if (!root.isObject())
-        return decodeError(error, "spec is not an object");
-    if (!onlyKnownKeys(root,
-                       {"max_tensor", "max_data", "max_pipeline",
-                        "micro_batch_sizes", "min_gpus", "max_gpus",
-                        "exact_gpus", "require_memory_fit",
-                        "global_batch_size", "schedule",
-                        "gradient_bucketing", "activation_recompute",
-                        "precision"},
-                       "spec", error))
-        return false;
-    SweepSpec spec;
-    const Value *sizes =
-        member(root, "micro_batch_sizes", Value::Type::Array, error);
-    if (!sizes)
-        return false;
-    spec.micro_batch_sizes.clear();
-    for (const Value &m : sizes->items()) {
-        if (!m.isNumber() ||
-            std::nearbyint(m.asNumber()) != m.asNumber())
-            return decodeError(error, "micro_batch_sizes entries must "
-                                      "be integers");
-        spec.micro_batch_sizes.push_back(
-            static_cast<int>(m.asInt64()));
-    }
-    std::string schedule;
-    std::string precision;
-    if (!(getInt(root, "max_tensor", &spec.max_tensor, error) &&
-          getInt(root, "max_data", &spec.max_data, error) &&
-          getInt(root, "max_pipeline", &spec.max_pipeline, error) &&
-          getInt(root, "min_gpus", &spec.min_gpus, error) &&
-          getInt(root, "max_gpus", &spec.max_gpus, error) &&
-          getInt(root, "exact_gpus", &spec.exact_gpus, error) &&
-          getBool(root, "require_memory_fit", &spec.require_memory_fit,
-                  error) &&
-          getInt(root, "global_batch_size", &spec.global_batch_size,
-                 error) &&
-          getString(root, "schedule", &schedule, error) &&
-          getBool(root, "gradient_bucketing", &spec.gradient_bucketing,
-                  error) &&
-          getBool(root, "activation_recompute",
-                  &spec.activation_recompute, error) &&
-          getString(root, "precision", &precision, error)))
-        return false;
-    if (!parseSchedule(schedule, &spec.schedule, error) ||
-        !parsePrecision(precision, &spec.precision, error))
-        return false;
-    *out = std::move(spec);
-    return true;
+    return decodeDocument(root, out, /*strict=*/true, error);
 }
 
 Value
 encode(const ExploreResult &result)
 {
-    Value v = Value::object();
-    v.set("plan", parallelToJson(result.plan));
-    v.set("result", encode(result.sim));
-    return v;
+    return encodeObject(result);
 }
 
 bool
 decode(const json::Value &root, ExploreResult *out, std::string *error)
 {
-    if (!root.isObject())
-        return decodeError(error, "explore result is not an object");
-    if (!onlyKnownKeys(root, {"plan", "result"}, "explore result",
-                       error))
-        return false;
-    const Value *plan = member(root, "plan", Value::Type::Object,
-                               error);
-    const Value *result =
-        member(root, "result", Value::Type::Object, error);
-    if (!plan || !result)
-        return false;
-    if (!strictPlan(*plan, &out->plan, error))
-        return false;
-    if (!onlyKnownKeys(*result,
-                       {"version", "iteration_seconds", "utilization",
-                        "model_flops", "bubble_fraction",
-                        "time_by_tag", "num_operators", "num_tasks",
-                        "distinct_operators_profiled",
-                        "profiler_calls", "extrapolated",
-                        "simulated_micro_batches",
-                        "total_micro_batches", "sim_wall_seconds"},
-                       "result", error))
-        return false;
-    return decode(*result, &out->sim, error);
+    return decodeDocument(root, out, /*strict=*/true, error);
 }
 
 Value
 encode(const SweepRequest &request)
 {
-    VTRAIN_REQUIRE(request.options.perturber == nullptr,
-                   "requests carrying a perturber are process-local "
-                   "and cannot be serialized");
-    Value v = Value::object();
-    v.set("version", kVersion);
-    v.set("model", modelToJson(request.model));
-    v.set("cluster", clusterToJson(request.cluster));
-    v.set("options", optionsToJson(request.options));
-    if (request.use_spec) {
-        v.set("spec", encode(request.spec));
-    } else {
-        Value plans = Value::array();
-        for (const ParallelConfig &plan : request.plans)
-            plans.push(parallelToJson(plan));
-        v.set("plans", std::move(plans));
-    }
-    if (request.deadline_ms >= 0)
-        v.set("deadline_ms", request.deadline_ms);
-    return v;
+    requireSerializable(request.options);
+    return encodeObject(request);
 }
 
 bool
 decode(const json::Value &root, SweepRequest *out, std::string *error)
 {
-    if (!root.isObject())
-        return decodeError(error,
-                           "sweep request is not an object");
-    if (!onlyKnownKeys(root,
-                       {"version", "model", "cluster", "options",
-                        "plans", "spec", "deadline_ms"},
-                       "sweep request", error))
-        return false;
-    if (!checkVersion(root, error))
-        return false;
-    const Value *model = member(root, "model", Value::Type::Object,
-                                error);
-    const Value *cluster =
-        member(root, "cluster", Value::Type::Object, error);
-    const Value *options =
-        member(root, "options", Value::Type::Object, error);
-    if (!model || !cluster || !options)
-        return false;
     SweepRequest request;
-    if (!strictModel(*model, &request.model, error) ||
-        !strictCluster(*cluster, &request.cluster, error) ||
-        !strictOptions(*options, &request.options, error))
+    if (!decodeDocument(root, &request, /*strict=*/true, error))
         return false;
-
-    const Value *plans = root.find("plans");
-    const Value *spec = root.find("spec");
+    // The optional fields: exactly one point source, then the budget.
+    const Value *plans = root.find(kPlans);
+    const Value *spec = root.find(kSpec);
     if ((plans != nullptr) == (spec != nullptr))
         return decodeError(error, "sweep request must carry exactly "
                                   "one of 'plans' and 'spec'");
-    if (plans) {
-        if (!plans->isArray())
-            return decodeError(error, "'plans' must be an array");
-        request.plans.reserve(plans->items().size());
-        for (size_t i = 0; i < plans->items().size(); ++i) {
-            ParallelConfig plan;
-            if (!strictPlan(plans->items()[i], &plan, error))
-                return decodeError(
-                    error, "bad plan at index " + std::to_string(i) +
-                               ": " + (error ? *error : ""));
-            request.plans.push_back(plan);
-        }
-    } else {
-        if (!spec->isObject())
-            return decodeError(error, "'spec' must be an object");
-        request.use_spec = true;
-        if (!decode(*spec, &request.spec, error))
-            return false;
-    }
-    const Value *deadline = root.find("deadline_ms");
-    if (deadline) {
-        if (!deadline->isNumber() || deadline->asInt64() < 0)
-            return decodeError(error, "'deadline_ms' must be a "
-                                      "non-negative integer");
-        request.deadline_ms = deadline->asInt64();
-    }
+    request.use_spec = spec != nullptr;
+    if (!(spec ? decodeValue(*spec, kSpec, &request.spec, true, error)
+               : decodeValue(*plans, kPlans, &request.plans, true,
+                             error)) ||
+        !readDeadline(root, &request.deadline_ms, error))
+        return false;
     *out = std::move(request);
     return true;
 }
@@ -824,13 +668,7 @@ decode(const json::Value &root, SweepRequest *out, std::string *error)
 std::string
 encodeSweepResponse(const std::vector<ExploreResult> &results)
 {
-    Value items = Value::array();
-    for (const ExploreResult &result : results)
-        items.push(encode(result));
-    Value body = Value::object();
-    body.set("version", kVersion);
-    body.set("results", std::move(items));
-    return body.dump();
+    return encodeObject(ResultList<ExploreResult>{results}).dump();
 }
 
 bool
@@ -838,31 +676,11 @@ decodeSweepResponse(std::string_view body,
                     std::vector<ExploreResult> *out, std::string *error)
 {
     Value root;
-    if (!Value::parse(body, &root, error))
+    ResultList<ExploreResult> response;
+    if (!Value::parse(body, &root, error) ||
+        !decodeDocument(root, &response, /*strict=*/true, error))
         return false;
-    if (!root.isObject())
-        return decodeError(error,
-                           "sweep response is not an object");
-    if (!onlyKnownKeys(root, {"version", "results"}, "sweep response",
-                       error))
-        return false;
-    if (!checkVersion(root, error))
-        return false;
-    const Value *results =
-        member(root, "results", Value::Type::Array, error);
-    if (!results)
-        return false;
-    std::vector<ExploreResult> decoded;
-    decoded.reserve(results->items().size());
-    for (size_t i = 0; i < results->items().size(); ++i) {
-        ExploreResult result;
-        if (!decode(results->items()[i], &result, error))
-            return decodeError(
-                error, "bad result at index " + std::to_string(i) +
-                           ": " + (error ? *error : ""));
-        decoded.push_back(std::move(result));
-    }
-    *out = std::move(decoded);
+    *out = std::move(response.results);
     return true;
 }
 
@@ -882,50 +700,14 @@ parseEnvelope(std::string_view body, json::Value *root,
               net::HttpResponse *error_response)
 {
     std::string error;
-    if (!Value::parse(body, root, &error)) {
-        *error_response =
-            errorResponse(400, "bad request payload: " + error);
-        return false;
-    }
-    if (!root->isObject()) {
-        *error_response = errorResponse(
-            400, "bad request payload: document is not an object");
-        return false;
-    }
-    if (!checkVersion(*root, &error)) {
-        *error_response =
-            errorResponse(400, "bad request payload: " + error);
-        return false;
-    }
+    if (!Value::parse(body, root, &error))
+        return badPayload(error_response, error);
+    if (!root->isObject())
+        return badPayload(error_response, "document is not an object");
+    if (!checkVersion(*root, &error))
+        return badPayload(error_response, error);
     return true;
 }
-
-namespace {
-
-/**
- * Reads the optional top-level "deadline_ms" budget (-1 when absent).
- * Returns false with *error_response set when the field is present
- * but not a non-negative integer.
- */
-bool
-readDeadlineMs(const Value &root, int64_t *deadline_ms,
-               net::HttpResponse *error_response)
-{
-    *deadline_ms = -1;
-    const Value *deadline = root.find("deadline_ms");
-    if (!deadline)
-        return true;
-    if (!deadline->isNumber() || deadline->asInt64() < 0) {
-        *error_response = errorResponse(
-            400, "bad request payload: 'deadline_ms' must be a "
-                 "non-negative integer");
-        return false;
-    }
-    *deadline_ms = deadline->asInt64();
-    return true;
-}
-
-} // namespace
 
 bool
 decodeEvaluateRequest(std::string_view body, SimRequest *out,
@@ -940,14 +722,10 @@ decodeEvaluateRequest(std::string_view body, SimRequest *out,
     const Value *trace_flag = root.find("trace");
     *want_trace =
         trace_flag && trace_flag->isBool() && trace_flag->asBool();
-    if (!readDeadlineMs(root, deadline_ms, error_response))
-        return false;
     std::string error;
-    if (!decode(root, out, &error)) {
-        *error_response =
-            errorResponse(400, "bad request payload: " + error);
-        return false;
-    }
+    if (!readDeadline(root, deadline_ms, &error) ||
+        !decode(root, out, &error))
+        return badPayload(error_response, error);
     return true;
 }
 
@@ -970,27 +748,20 @@ decodeEvaluateBatchRequest(std::string_view body,
     json::Value root;
     if (!parseEnvelope(body, &root, error_response))
         return false;
-    if (!readDeadlineMs(root, deadline_ms, error_response))
-        return false;
+    std::string error;
+    if (!readDeadline(root, deadline_ms, &error))
+        return badPayload(error_response, error);
     const Value *requests = root.find("requests");
-    if (!requests || !requests->isArray()) {
-        *error_response = errorResponse(
-            400,
-            "bad request payload: 'requests' must be an array");
-        return false;
-    }
-    std::vector<SimRequest> batch;
-    batch.reserve(requests->items().size());
-    for (size_t i = 0; i < requests->items().size(); ++i) {
-        SimRequest request;
-        std::string error;
-        if (!decode(requests->items()[i], &request, &error)) {
+    if (!requests || !requests->isArray())
+        return badPayload(error_response, "'requests' must be an array");
+    std::vector<SimRequest> batch(requests->items().size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+        if (!decode(requests->items()[i], &batch[i], &error)) {
             *error_response = errorResponse(
                 400, "bad request payload at index " +
                          std::to_string(i) + ": " + error);
             return false;
         }
-        batch.push_back(std::move(request));
     }
     *out = std::move(batch);
     return true;
@@ -999,13 +770,7 @@ decodeEvaluateBatchRequest(std::string_view body,
 std::string
 encodeEvaluateBatchResponse(const std::vector<SimulationResult> &results)
 {
-    Value items = Value::array();
-    for (const SimulationResult &result : results)
-        items.push(encode(result));
-    Value body = Value::object();
-    body.set("version", kVersion);
-    body.set("results", std::move(items));
-    return body.dump();
+    return encodeObject(ResultList<SimulationResult>{results}).dump();
 }
 
 bool
@@ -1013,14 +778,11 @@ decodeSweepRequest(std::string_view body, SweepRequest *out,
                    net::HttpResponse *error_response)
 {
     json::Value root;
+    std::string error;
     if (!parseEnvelope(body, &root, error_response))
         return false;
-    std::string error;
-    if (!decode(root, out, &error)) {
-        *error_response =
-            errorResponse(400, "bad request payload: " + error);
-        return false;
-    }
+    if (!decode(root, out, &error))
+        return badPayload(error_response, error);
     return true;
 }
 

@@ -257,21 +257,8 @@ replayChunk(const ReplaySchedule &schedule,
         }
     }
 
-    for (size_t j = 0; j < K; ++j) {
-        EngineResult &result = results[j];
-        result.makespan = makespan[j];
-        result.executed = n;
-        result.busy_compute.resize(n_devices);
-        result.busy_comm.resize(n_devices);
-        for (int d = 0; d < n_devices; ++d) {
-            result.busy_compute[d] =
-                busy[(static_cast<size_t>(d) * 2) * K + j];
-            result.busy_comm[d] =
-                busy[(static_cast<size_t>(d) * 2 + 1) * K + j];
-        }
-        for (int t = 0; t < kNumTaskTags; ++t)
-            result.time_by_tag[t] = tags[static_cast<size_t>(t) * K + j];
-    }
+    detail::unpackChunkResults(K, schedule, busy, tags, makespan,
+                               results);
 }
 
 } // namespace
@@ -300,8 +287,6 @@ replayKernelName(ReplayKernel kernel)
         return "scalar";
     case ReplayKernel::Avx2:
         return "avx2";
-    case ReplayKernel::Avx512:
-        return "avx512";
     }
     return "unknown";
 }
@@ -314,8 +299,6 @@ replayKernelCompiled(ReplayKernel kernel)
         return true;
     case ReplayKernel::Avx2:
         return detail::replayKernelAvx2Compiled();
-    case ReplayKernel::Avx512:
-        return detail::replayKernelAvx512Compiled();
     }
     return false;
 }
@@ -329,9 +312,6 @@ replayKernelUsable(ReplayKernel kernel)
     case ReplayKernel::Avx2:
         return detail::replayKernelAvx2Compiled() &&
                util::cpuFeatures().avx2;
-    case ReplayKernel::Avx512:
-        return detail::replayKernelAvx512Compiled() &&
-               util::cpuFeatures().avx512f;
     }
     return false;
 }
@@ -339,23 +319,9 @@ replayKernelUsable(ReplayKernel kernel)
 ReplayKernel
 activeReplayKernel()
 {
-    // AVX2 is preferred over AVX-512 on purpose, not by accident.
-    // The inner loop assembles each position's duration vector from K
-    // scattered per-set loads; at 512 bits that costs a chain of
-    // lane-crossing shuffles (port-5 bound) on top of the wide-op
-    // frequency licence.  Measured on a Xeon with avx512f
-    // (BM_ReplayKernel), the 8-wide kernel at best matches two 4-wide
-    // AVX2 passes and loses at the largest batch widths, so the extra
-    // ISA buys nothing here.  The AVX-512 kernel stays compiled,
-    // bit-identity-tested, and selectable via the pinned replayBatch
-    // overload for hardware where the trade flips.
-    static const ReplayKernel kernel = [] {
-        if (replayKernelUsable(ReplayKernel::Avx2))
-            return ReplayKernel::Avx2;
-        if (replayKernelUsable(ReplayKernel::Avx512))
-            return ReplayKernel::Avx512;
-        return ReplayKernel::Scalar;
-    }();
+    static const ReplayKernel kernel =
+        replayKernelUsable(ReplayKernel::Avx2) ? ReplayKernel::Avx2
+                                               : ReplayKernel::Scalar;
     return kernel;
 }
 
@@ -376,21 +342,7 @@ replayBatchInto(const ReplaySchedule &schedule,
     // (see replay_kernels.h).
     std::vector<double> ready;
     size_t begin = 0;
-    if (kernel == ReplayKernel::Avx512) {
-        while (count - begin >= detail::kAvx512ReplayWidth) {
-            detail::replayChunkAvx512(schedule, duration_sets + begin,
-                                      ready, results + begin);
-            begin += detail::kAvx512ReplayWidth;
-        }
-        // An AVX-512 host always runs the AVX2 kernel too; use it for
-        // the 4-wide tail when it was compiled in.
-        if (count - begin >= detail::kAvx2ReplayWidth &&
-            replayKernelUsable(ReplayKernel::Avx2)) {
-            detail::replayChunkAvx2(schedule, duration_sets + begin,
-                                    ready, results + begin);
-            begin += detail::kAvx2ReplayWidth;
-        }
-    } else if (kernel == ReplayKernel::Avx2) {
+    if (kernel == ReplayKernel::Avx2) {
         while (count - begin >= detail::kAvx2ReplayWidth) {
             detail::replayChunkAvx2(schedule, duration_sets + begin,
                                     ready, results + begin);

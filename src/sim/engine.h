@@ -92,17 +92,16 @@ EngineResult replaySimulation(const ReplaySchedule &schedule,
 /**
  * The chunk kernel replayBatch() runs its lockstep passes with.
  * Scalar is the portable fallback (compile-time-width chunks the
- * compiler autovectorizes at the build's baseline ISA); Avx2/Avx512
- * are the explicit 256/512-bit kernels (sim/replay_kernels.h),
- * available only when compiled in *and* the running CPU supports
- * them.  Every kernel produces bit-identical results — the choice is
- * purely a throughput knob, which is why the default entry points
- * pick one automatically.
+ * compiler autovectorizes at the build's baseline ISA); Avx2 is the
+ * explicit 256-bit kernel (sim/replay_kernels.h), available only when
+ * compiled in *and* the running CPU supports it.  Every kernel
+ * produces bit-identical results — the choice is purely a throughput
+ * knob, which is why the default entry points pick one automatically.
  */
-enum class ReplayKernel { Scalar, Avx2, Avx512 };
+enum class ReplayKernel { Scalar, Avx2 };
 
-/** @return "scalar", "avx2", or "avx512" (stable; used on /statz and
- *  in bench context blocks). */
+/** @return "scalar" or "avx2" (stable; used on /statz and in bench
+ *  context blocks). */
 const char *replayKernelName(ReplayKernel kernel);
 
 /** @return true when the kernel's TU was compiled into this binary. */
@@ -114,17 +113,15 @@ bool replayKernelUsable(ReplayKernel kernel);
 
 /** @return the kernel auto-dispatch selects (resolved once per
  *  process; the cpuid probe is cached).  AVX2 when usable, else
- *  AVX-512, else Scalar — measured, not widest-first: the 512-bit
- *  kernel's per-position lane assembly loses to two AVX2 passes on
- *  the Xeons benched (see activeReplayKernel() in engine.cc). */
+ *  Scalar. */
 ReplayKernel activeReplayKernel();
 
 /**
  * Simulates K duration vectors over one shared schedule in a single
  * cache-friendly pass.  The K points advance in lockstep through the
  * schedule: per position the K-wide inner loops (contiguous, branch
- * free) vectorize — explicitly via the AVX2/AVX-512 chunk kernels
- * when the host supports them, by autovectorization of the scalar
+ * free) vectorize — explicitly via the AVX2 chunk kernel when the
+ * host supports it, by autovectorization of the scalar
  * chunks otherwise — and the schedule's metadata and child arrays
  * are read once per position instead of once per point.  Results are
  * bit-identical to K independent replaySimulation() calls, under

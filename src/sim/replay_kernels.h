@@ -39,16 +39,10 @@ namespace detail {
 /** Lockstep width of the AVX2 kernel (doubles per __m256d). */
 constexpr size_t kAvx2ReplayWidth = 4;
 
-/** Lockstep width of the AVX-512 kernel (doubles per __m512d). */
-constexpr size_t kAvx512ReplayWidth = 8;
-
 /** @return true when the AVX2 kernel TU was compiled into this
  *  binary (the compiler accepted -mavx2 on an x86-64 target).  Says
  *  nothing about the running CPU — see engine.h replayKernelUsable. */
 bool replayKernelAvx2Compiled();
-
-/** @return true when the AVX-512 kernel TU was compiled in. */
-bool replayKernelAvx512Compiled();
 
 /**
  * One kAvx2ReplayWidth-wide lockstep pass over the schedule.
@@ -61,12 +55,6 @@ void replayChunkAvx2(const ReplaySchedule &schedule,
                      const double *const *set_ptrs,
                      std::vector<double> &ready_vec,
                      EngineResult *results);
-
-/** replayChunkAvx2 at kAvx512ReplayWidth lanes via 512-bit ops. */
-void replayChunkAvx512(const ReplaySchedule &schedule,
-                       const double *const *set_ptrs,
-                       std::vector<double> &ready_vec,
-                       EngineResult *results);
 
 /**
  * Splits a chunk's interleaved accumulators into per-point

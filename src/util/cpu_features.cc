@@ -13,7 +13,6 @@ probe()
     (defined(__GNUC__) || defined(__clang__))
     __builtin_cpu_init();
     features.avx2 = __builtin_cpu_supports("avx2") != 0;
-    features.avx512f = __builtin_cpu_supports("avx512f") != 0;
 #endif
     return features;
 }
@@ -25,23 +24,6 @@ cpuFeatures()
 {
     static const CpuFeatures features = probe();
     return features;
-}
-
-std::string
-cpuFeatureSummary()
-{
-    const CpuFeatures &features = cpuFeatures();
-    std::string summary;
-    if (features.avx2)
-        summary += "avx2";
-    if (features.avx512f) {
-        if (!summary.empty())
-            summary += ' ';
-        summary += "avx512f";
-    }
-    if (summary.empty())
-        summary = "none";
-    return summary;
 }
 
 } // namespace util

@@ -13,25 +13,16 @@
 #ifndef VTRAIN_UTIL_CPU_FEATURES_H
 #define VTRAIN_UTIL_CPU_FEATURES_H
 
-#include <string>
-
 namespace vtrain {
 namespace util {
 
 /** SIMD capabilities of the running processor. */
 struct CpuFeatures {
-    bool avx2 = false;    //!< 256-bit integer + FMA-era vector ISA
-    bool avx512f = false; //!< 512-bit foundation subset
+    bool avx2 = false; //!< 256-bit integer + FMA-era vector ISA
 };
 
 /** @return the processor's features, probed once per process. */
 const CpuFeatures &cpuFeatures();
-
-/**
- * @return a space-separated summary for logs and bench context
- * blocks: "avx2 avx512f", "avx2", or "none".
- */
-std::string cpuFeatureSummary();
 
 } // namespace util
 } // namespace vtrain

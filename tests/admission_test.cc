@@ -543,14 +543,48 @@ TEST(AdmissionHttp, NegativeWireDeadlineIs400)
 {
     Loopback loopback;
     HttpClient client = loopback.client();
-    HttpResponse response;
-    std::string error;
-    json::Value body = wire::v1::encode(requestVariant(0));
-    body.set("deadline_ms", static_cast<int64_t>(-5));
-    ASSERT_TRUE(client.post("/v1/evaluate", body.dump(), &response,
-                            &error))
-        << error;
-    EXPECT_EQ(response.status, 400);
+
+    // One well-formed body per /v1 endpoint that reads deadline_ms.
+    json::Value batch = json::Value::object();
+    batch.set("version", wire::kVersion);
+    json::Value requests = json::Value::array();
+    requests.push(wire::v1::encode(requestVariant(0)));
+    batch.set("requests", std::move(requests));
+    wire::v1::SweepRequest sweep;
+    sweep.model = tinyRequest().model;
+    sweep.cluster = tinyRequest().cluster;
+    sweep.plans = {tinyRequest().parallel};
+    const std::pair<const char *, json::Value> endpoints[] = {
+        {"/v1/evaluate", wire::v1::encode(requestVariant(0))},
+        {"/v1/evaluate_batch", batch},
+        {"/v1/sweep", wire::v1::encode(sweep)},
+    };
+
+    // Negative, fractional and beyond-2^53 budgets are all client
+    // errors, answered with the decoder's message, never a 500.
+    const std::pair<json::Value, const char *> deadlines[] = {
+        {json::Value(int64_t{-5}), "non-negative"},
+        {json::Value(1.5), "is not an integer"},
+        {json::Value(1e300), "is out of range"},
+    };
+    for (const auto &[path, base] : endpoints) {
+        for (const auto &[deadline, message] : deadlines) {
+            json::Value body = base;
+            body.set("deadline_ms", deadline);
+            HttpResponse response;
+            std::string error;
+            ASSERT_TRUE(
+                client.post(path, body.dump(), &response, &error))
+                << error;
+            EXPECT_EQ(response.status, 400)
+                << path << " " << deadline.dump();
+            EXPECT_NE(response.body.find("deadline_ms"),
+                      std::string::npos)
+                << path << ": " << response.body;
+            EXPECT_NE(response.body.find(message), std::string::npos)
+                << path << ": " << response.body;
+        }
+    }
 }
 
 } // namespace

@@ -529,30 +529,21 @@ TEST(EngineReplay, KernelDispatchPolicy)
 {
     EXPECT_STREQ(replayKernelName(ReplayKernel::Scalar), "scalar");
     EXPECT_STREQ(replayKernelName(ReplayKernel::Avx2), "avx2");
-    EXPECT_STREQ(replayKernelName(ReplayKernel::Avx512), "avx512");
 
-    // Scalar is always there; a vector kernel is usable only when it
-    // was both compiled in and the host cpuid reports the ISA.
+    // Scalar is always there; the vector kernel is usable only when
+    // it was both compiled in and the host cpuid reports the ISA.
     EXPECT_TRUE(replayKernelCompiled(ReplayKernel::Scalar));
     EXPECT_TRUE(replayKernelUsable(ReplayKernel::Scalar));
-    for (const ReplayKernel k :
-         {ReplayKernel::Avx2, ReplayKernel::Avx512}) {
-        if (replayKernelUsable(k)) {
-            EXPECT_TRUE(replayKernelCompiled(k));
-        }
+    if (replayKernelUsable(ReplayKernel::Avx2)) {
+        EXPECT_TRUE(replayKernelCompiled(ReplayKernel::Avx2));
     }
 
-    // Auto-dispatch prefers AVX2, then AVX-512, then scalar (the
-    // 512-bit kernel measures slower than two 4-wide passes on the
-    // hardware benched; see activeReplayKernel() in engine.cc).
+    // Auto-dispatch prefers AVX2, then scalar.
     const ReplayKernel active = activeReplayKernel();
     EXPECT_TRUE(replayKernelUsable(active));
-    if (replayKernelUsable(ReplayKernel::Avx2))
-        EXPECT_EQ(active, ReplayKernel::Avx2);
-    else if (replayKernelUsable(ReplayKernel::Avx512))
-        EXPECT_EQ(active, ReplayKernel::Avx512);
-    else
-        EXPECT_EQ(active, ReplayKernel::Scalar);
+    EXPECT_EQ(active, replayKernelUsable(ReplayKernel::Avx2)
+                          ? ReplayKernel::Avx2
+                          : ReplayKernel::Scalar);
 }
 
 TEST(EngineReplay, UnusableKernelPanics)
@@ -562,10 +553,9 @@ TEST(EngineReplay, UnusableKernelPanics)
     const TaskGraph graph = fanGraph();
     const auto schedule = ReplaySchedule::build(*graph.topology());
     const std::vector<std::vector<double>> sets = {graph.durations()};
-    for (const ReplayKernel k : {ReplayKernel::Avx2, ReplayKernel::Avx512}) {
-        if (replayKernelUsable(k))
-            continue;
-        EXPECT_THROW(replayBatch(*schedule, sets, k), std::logic_error);
+    if (!replayKernelUsable(ReplayKernel::Avx2)) {
+        EXPECT_THROW(replayBatch(*schedule, sets, ReplayKernel::Avx2),
+                     std::logic_error);
     }
 }
 
@@ -573,8 +563,7 @@ TEST(EngineReplay, KernelGridBitIdentical)
 {
     // Every usable kernel must agree with the scalar chunks bit for
     // bit at every batch width K = 1..19 — that sweeps all chunk
-    // tails: 8-wide AVX-512 bodies, the 4-wide AVX2 tail after them,
-    // and the 4/2/1 scalar remainders.
+    // tails: 4-wide AVX2 bodies and the 4/2/1 scalar chunks.
     const TaskGraph graph = fanGraph();
     const auto schedule = ReplaySchedule::build(*graph.topology());
 
@@ -595,16 +584,13 @@ TEST(EngineReplay, KernelGridBitIdentical)
         for (size_t k = 0; k < width; ++k)
             expectSameResult(replaySimulation(*schedule, prefix[k]),
                              scalar[k]);
-        for (const ReplayKernel kernel :
-             {ReplayKernel::Avx2, ReplayKernel::Avx512}) {
-            if (!replayKernelUsable(kernel))
-                continue;
-            const std::vector<EngineResult> got =
-                replayBatch(*schedule, prefix, kernel);
-            ASSERT_EQ(got.size(), width);
-            for (size_t k = 0; k < width; ++k)
-                expectSameResult(scalar[k], got[k]);
-        }
+        if (!replayKernelUsable(ReplayKernel::Avx2))
+            continue;
+        const std::vector<EngineResult> got =
+            replayBatch(*schedule, prefix, ReplayKernel::Avx2);
+        ASSERT_EQ(got.size(), width);
+        for (size_t k = 0; k < width; ++k)
+            expectSameResult(scalar[k], got[k]);
     }
 }
 
@@ -638,12 +624,9 @@ TEST(EngineReplay, KernelsBitIdenticalOnExpandedModelGraph)
 
     const std::vector<EngineResult> scalar =
         replayBatch(*schedule, sets, ReplayKernel::Scalar);
-    for (const ReplayKernel kernel :
-         {ReplayKernel::Avx2, ReplayKernel::Avx512}) {
-        if (!replayKernelUsable(kernel))
-            continue;
+    if (replayKernelUsable(ReplayKernel::Avx2)) {
         const std::vector<EngineResult> got =
-            replayBatch(*schedule, sets, kernel);
+            replayBatch(*schedule, sets, ReplayKernel::Avx2);
         ASSERT_EQ(got.size(), scalar.size());
         for (size_t k = 0; k < scalar.size(); ++k)
             expectSameResult(scalar[k], got[k]);

@@ -981,49 +981,13 @@ TEST(ServeJson, EncodingsMatchGoldenBytes)
         EXPECT_EQ(c.encoded, c.golden) << c.name;
 }
 
-/** Decodes `doc` as a T; on failure *error says why. */
-template <typename T>
-bool
-decodesAs(const json::Value &doc, std::string *error)
-{
-    T out;
-    return wire::v1::decode(doc, &out, error);
-}
-
 TEST(ServeJson, EveryRemovedOrRetypedFieldIsNamed)
 {
     using namespace wire_fixtures;
-    struct Case {
-        const char *name;
-        json::Value doc;
-        bool (*decode)(const json::Value &, std::string *);
-    };
-    const Case cases[] = {
-        {"request", wire::v1::encode(goldenRequest()),
-         decodesAs<SimRequest>},
-        {"result", wire::v1::encode(goldenResult()),
-         decodesAs<SimulationResult>},
-    };
-    for (const Case &c : cases) {
-        std::string error;
-        ASSERT_TRUE(c.decode(c.doc, &error)) << c.name << ": " << error;
-        for (const Member &member : members(c.doc)) {
-            const std::string where = std::string(c.name) + " " +
-                                      join(member.object) + "/" +
-                                      member.key;
-            const std::string quoted = "'" + member.key + "'";
-            error.clear();
-            EXPECT_FALSE(c.decode(without(c.doc, member), &error))
-                << "removed " << where;
-            EXPECT_NE(error.find(quoted), std::string::npos)
-                << "removed " << where << ": " << error;
-            error.clear();
-            EXPECT_FALSE(c.decode(retyped(c.doc, member), &error))
-                << "retyped " << where;
-            EXPECT_NE(error.find(quoted), std::string::npos)
-                << "retyped " << where << ": " << error;
-        }
-    }
+    expectEveryFieldNamed("request", wire::v1::encode(goldenRequest()),
+                          decodesAs<SimRequest>);
+    expectEveryFieldNamed("result", wire::v1::encode(goldenResult()),
+                          decodesAs<SimulationResult>);
 }
 
 TEST(ServeJson, EvaluateCodecsIgnoreUnknownKeysAtEveryLevel)

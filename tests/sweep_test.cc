@@ -508,15 +508,6 @@ TEST(SweepCodec, EncodingsMatchGoldenBytes)
               kGoldenSweepResponse);
 }
 
-/** Decodes `doc` as a T; on failure *error says why. */
-template <typename T>
-bool
-decodesAs(const json::Value &doc, std::string *error)
-{
-    T out;
-    return wire::v1::decode(doc, &out, error);
-}
-
 bool
 decodesAsSweepResponse(const json::Value &doc, std::string *error)
 {
@@ -527,7 +518,7 @@ decodesAsSweepResponse(const json::Value &doc, std::string *error)
 struct CodecCase {
     const char *name;
     json::Value doc;
-    bool (*decode)(const json::Value &, std::string *);
+    wire_fixtures::Decoder decode;
 };
 
 std::vector<CodecCase>
@@ -536,13 +527,13 @@ strictCodecCases()
     const std::vector<ExploreResult> results = goldenExploreResults();
     return {
         {"spec request", wire::v1::encode(goldenSpecRequest()),
-         decodesAs<wire::v1::SweepRequest>},
+         wire_fixtures::decodesAs<wire::v1::SweepRequest>},
         {"plans request", wire::v1::encode(goldenPlansRequest()),
-         decodesAs<wire::v1::SweepRequest>},
+         wire_fixtures::decodesAs<wire::v1::SweepRequest>},
         {"spec", wire::v1::encode(goldenSpecRequest().spec),
-         decodesAs<SweepSpec>},
+         wire_fixtures::decodesAs<SweepSpec>},
         {"explore result", wire::v1::encode(results[0]),
-         decodesAs<ExploreResult>},
+         wire_fixtures::decodesAs<ExploreResult>},
         {"sweep response",
          [&] {
              json::Value doc;
@@ -558,30 +549,10 @@ strictCodecCases()
 
 TEST(SweepCodec, EveryRemovedOrRetypedFieldIsNamed)
 {
-    using namespace wire_fixtures;
-    for (const CodecCase &c : strictCodecCases()) {
-        std::string error;
-        ASSERT_TRUE(c.decode(c.doc, &error)) << c.name << ": " << error;
-        for (const Member &member : members(c.doc)) {
-            const std::string where = std::string(c.name) + " " +
-                                      join(member.object) + "/" +
-                                      member.key;
-            const std::string quoted = "'" + member.key + "'";
-            // The one optional field: absent means "no deadline".
-            if (member.key != "deadline_ms") {
-                error.clear();
-                EXPECT_FALSE(c.decode(without(c.doc, member), &error))
-                    << "removed " << where;
-                EXPECT_NE(error.find(quoted), std::string::npos)
-                    << "removed " << where << ": " << error;
-            }
-            error.clear();
-            EXPECT_FALSE(c.decode(retyped(c.doc, member), &error))
-                << "retyped " << where;
-            EXPECT_NE(error.find(quoted), std::string::npos)
-                << "retyped " << where << ": " << error;
-        }
-    }
+    // deadline_ms is the one optional field: absent means no deadline.
+    for (const CodecCase &c : strictCodecCases())
+        wire_fixtures::expectEveryFieldNamed(c.name, c.doc, c.decode,
+                                             "deadline_ms");
 }
 
 TEST(SweepCodec, UnknownKeyIsRejectedAndNamedAtEveryLevel)
@@ -642,6 +613,29 @@ TEST(SweepCodec, UnknownKeyIsRejectedAndNamedAtEveryLevel)
                 << c.name << " " << join(level);
             EXPECT_EQ(error, want) << c.name << " " << join(level);
         }
+    }
+}
+
+TEST(SweepCodec, SpecRejectsNonIntegerMicroBatchSizes)
+{
+    // Each entry goes through the checked integer reader: a fraction
+    // is not an integer, and 1e10 would not fit an int.
+    const std::pair<double, const char *> cases[] = {
+        {1.5, "is not an integer"},
+        {1e10, "is out of range"},
+        {1e300, "is out of range"},
+    };
+    for (const auto &[size, message] : cases) {
+        json::Value doc = wire::v1::encode(SweepSpec{});
+        json::Value sizes = json::Value::array();
+        sizes.push(json::Value(size));
+        doc.set("micro_batch_sizes", std::move(sizes));
+        SweepSpec decoded;
+        std::string error;
+        EXPECT_FALSE(wire::v1::decode(doc, &decoded, &error)) << size;
+        EXPECT_NE(error.find("micro_batch_sizes"), std::string::npos)
+            << error;
+        EXPECT_NE(error.find(message), std::string::npos) << error;
     }
 }
 

@@ -10,11 +10,14 @@
 #ifndef VTRAIN_TESTS_WIRE_FIXTURES_H
 #define VTRAIN_TESTS_WIRE_FIXTURES_H
 
+#include <gtest/gtest.h>
+
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "serve/json.h"
+#include "serve/wire.h"
 
 namespace vtrain {
 namespace wire_fixtures {
@@ -171,6 +174,47 @@ withExtraKey(const json::Value &doc, const Path &path,
         out.set(key, json::Value(int64_t{1}));
         return out;
     });
+}
+
+/** Decodes `doc` as a T; on failure *error says why. */
+template <typename T>
+bool
+decodesAs(const json::Value &doc, std::string *error)
+{
+    T out;
+    return wire::v1::decode(doc, &out, error);
+}
+
+using Decoder = bool (*)(const json::Value &doc, std::string *error);
+
+/**
+ * Expects `doc` to decode, and every copy of it with one member
+ * removed (except the `optional` key) or retyped to fail with an
+ * error that quotes that member's key.
+ */
+inline void
+expectEveryFieldNamed(const std::string &name, const json::Value &doc,
+                      Decoder decode, const std::string &optional = "")
+{
+    std::string error;
+    ASSERT_TRUE(decode(doc, &error)) << name << ": " << error;
+    for (const Member &member : members(doc)) {
+        const std::string where =
+            name + " " + join(member.object) + "/" + member.key;
+        const std::string quoted = "'" + member.key + "'";
+        if (member.key != optional) {
+            error.clear();
+            EXPECT_FALSE(decode(without(doc, member), &error))
+                << "removed " << where;
+            EXPECT_NE(error.find(quoted), std::string::npos)
+                << "removed " << where << ": " << error;
+        }
+        error.clear();
+        EXPECT_FALSE(decode(retyped(doc, member), &error))
+            << "retyped " << where;
+        EXPECT_NE(error.find(quoted), std::string::npos)
+            << "retyped " << where << ": " << error;
+    }
 }
 
 } // namespace wire_fixtures
