@@ -77,8 +77,9 @@ run_bench() {
     # baselines are comparable: which replay-kernel ISA features the
     # host offers (so an AVX-512 number is never diffed silently
     # against a scalar one) and the pinning mode the run used
-    # (VTRAIN_PIN env, default "off").  bench_diff.py warns -- without
-    # failing -- when two files disagree on these.
+    # (VTRAIN_PIN env, default "off").  bench_diff.py refuses to
+    # compare two files that disagree on these (or on the host stamps)
+    # unless --allow-cross-host is passed.
     VTRAIN_PIN="${VTRAIN_PIN:-off}" python3 - "${out}" <<'PYEOF'
 import json
 import os

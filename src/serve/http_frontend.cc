@@ -402,6 +402,26 @@ HttpFrontend::handleMetricz() const
                bytes_help)
         ->set(static_cast<int64_t>(stats.graph_templates.bytes));
 
+    // Scrape-time engine counters, one series per /statz
+    // service.engine key: the service's EngineCounters stay the only
+    // tally, and each scrape raises the mirrored series to it.
+    const std::string_view engine_help =
+        "Simulator engine work, as on /statz service.engine: "
+        "replay_runs and queue_runs count single runs, batched_points "
+        "the duration vectors replayed in batches, core_merges the "
+        "batched points answered from another point's core.";
+    const std::pair<const char *, uint64_t> engine_counters[] = {
+        {"replay_runs", stats.engine.replay_runs},
+        {"queue_runs", stats.engine.queue_runs},
+        {"batched_points", stats.engine.batched_points},
+        {"core_merges", stats.engine.core_merges},
+    };
+    for (const auto &[counter, value] : engine_counters)
+        registry
+            .counter("vtrain_sim_engine_events_total",
+                     {{"counter", counter}}, engine_help)
+            ->raiseTo(value);
+
     HttpResponse response;
     response.content_type = "text/plain; version=0.0.4";
     response.body = registry.renderPrometheus();

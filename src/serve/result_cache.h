@@ -72,6 +72,12 @@ class ResultCache
      */
     bool get(uint64_t key, SimulationResult *out);
 
+    /**
+     * get() for a caller re-checking a key whose miss get() already
+     * counted: a hit counts as usual, a second miss does not.
+     */
+    bool recheck(uint64_t key, SimulationResult *out);
+
     /** Inserts or refreshes `key`, evicting LRU entries over budget. */
     void put(uint64_t key, const SimulationResult &value);
 
@@ -109,6 +115,9 @@ class ResultCache
         uint64_t updates GUARDED_BY(mutex) = 0;
         uint64_t evictions GUARDED_BY(mutex) = 0;
     };
+
+    /** get()/recheck() body; `count_miss` = tick misses. */
+    bool lookup(uint64_t key, SimulationResult *out, bool count_miss);
 
     Shard &shardFor(uint64_t key)
     {

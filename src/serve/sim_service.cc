@@ -1,5 +1,6 @@
 #include "serve/sim_service.h"
 
+#include <unordered_map>
 #include <utility>
 
 #include "sim/simulator.h"
@@ -77,15 +78,22 @@ std::shared_future<SimulationResult>
 SimService::claimInflight(
     uint64_t fp,
     const std::shared_ptr<std::promise<SimulationResult>> &promise,
-    bool *joined)
+    Claim *claim)
 {
     util::MutexLock lock(inflight_mutex_);
     auto it = inflight_.find(fp);
     if (it != inflight_.end()) {
-        *joined = true;
+        *claim = Claim::Joined;
         return it->second;
     }
-    *joined = false;
+    SimulationResult cached;
+    if (cache_.recheck(fp, &cached)) {
+        *claim = Claim::Cached;
+        std::promise<SimulationResult> ready;
+        ready.set_value(std::move(cached));
+        return ready.get_future().share();
+    }
+    *claim = Claim::Owned;
     auto future = promise->get_future().share();
     inflight_.emplace(fp, future);
     return future;
@@ -171,9 +179,13 @@ SimService::evaluate(const SimRequest &request, uint64_t deadline_ns)
     }
 
     auto promise = std::make_shared<std::promise<SimulationResult>>();
-    bool joined = false;
-    auto future = claimInflight(fp, promise, &joined);
-    if (joined) {
+    Claim claim = Claim::Owned;
+    auto future = claimInflight(fp, promise, &claim);
+    if (claim == Claim::Cached) {
+        evaluate_cache_hit_seconds_->record(elapsed());
+        return future.get();
+    }
+    if (claim == Claim::Joined) {
         {
             util::MutexLock lock(stats_mutex_);
             ++inflight_joins_;
@@ -251,13 +263,14 @@ SimService::evaluateAsyncWithFp(const SimRequest &request, uint64_t fp)
     }
 
     auto promise = std::make_shared<std::promise<SimulationResult>>();
-    bool joined = false;
-    auto future = claimInflight(fp, promise, &joined);
-    if (joined) {
+    Claim claim = Claim::Owned;
+    auto future = claimInflight(fp, promise, &claim);
+    if (claim == Claim::Joined) {
         util::MutexLock lock(stats_mutex_);
         ++inflight_joins_;
-        return future;
     }
+    if (claim != Claim::Owned)
+        return future;
 
     pool_.submit([this, request, fp, promise] {
         try {
@@ -344,15 +357,16 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
 
             auto promise =
                 std::make_shared<std::promise<SimulationResult>>();
-            bool joined = false;
-            auto future = claimInflight(fp, promise, &joined);
+            Claim claim = Claim::Owned;
+            auto future = claimInflight(fp, promise, &claim);
             future_of[i] = futures.size();
             futures.push_back(std::move(future));
-            if (joined) {
+            if (claim == Claim::Joined) {
                 util::MutexLock lock(stats_mutex_);
                 ++inflight_joins_;
-                continue;
             }
+            if (claim != Claim::Owned)
+                continue;
 
             Claimed claimed{request, fp, std::move(promise)};
             // A pluggable evaluator is a black box: only the real
@@ -504,13 +518,15 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
         }
     };
 
-    // One pool task per unit.  In pooled mode, groups are sliced so a
-    // single huge group still spreads across the workers (each slice
-    // re-times against the same cached template, so slicing costs
-    // only the per-slice profiler table).  Inline mode runs on one
-    // thread regardless, so the whole group stays one unit and shares
-    // a single table and template fetch.
-    constexpr size_t kMaxGroupPerTask = 64;
+    // One pool task per unit.  In pooled mode, groups are sliced by
+    // distinct core (batchCore) so a single huge group still spreads
+    // across the workers, while all members of one core share a unit
+    // and the core is simulated once (each slice re-times against the
+    // same cached template, so slicing costs only the per-slice
+    // profiler table).  Inline mode runs on one thread regardless, so
+    // the whole group stays one unit and shares a single table and
+    // template fetch.
+    constexpr size_t kMaxGroupPerTask = 64; // distinct cores per unit
     std::vector<std::vector<Claimed>> units;
     units.reserve(groups.size() + singles.size());
     for (auto &[key, members] : groups) {
@@ -518,13 +534,23 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
             units.push_back(std::move(members));
             continue;
         }
-        for (size_t begin = 0; begin < members.size();
+        std::unordered_map<ParallelConfig, size_t> core_index;
+        std::vector<std::vector<Claimed>> by_core;
+        for (Claimed &member : members) {
+            const auto [it, inserted] = core_index.emplace(
+                batchCore(member.request.parallel), by_core.size());
+            if (inserted)
+                by_core.emplace_back();
+            by_core[it->second].push_back(std::move(member));
+        }
+        for (size_t begin = 0; begin < by_core.size();
              begin += kMaxGroupPerTask) {
             const size_t end = std::min(begin + kMaxGroupPerTask,
-                                        members.size());
-            units.emplace_back(
-                std::make_move_iterator(members.begin() + begin),
-                std::make_move_iterator(members.begin() + end));
+                                        by_core.size());
+            std::vector<Claimed> &unit = units.emplace_back();
+            for (size_t c = begin; c < end; ++c)
+                for (Claimed &member : by_core[c])
+                    unit.push_back(std::move(member));
         }
     }
     for (Claimed &claimed : singles) {

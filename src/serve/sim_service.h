@@ -106,7 +106,7 @@ class SimService
         std::vector<int> pin_cpus;
 
         /**
-         * Spread a batched group's per-plan retimes across the pool
+         * Spread a batched group's per-core retimes across the pool
          * (Simulator::setRetimePool).  Bit-identical results; on by
          * default, off only for serial-vs-parallel golden tests.
          */
@@ -156,8 +156,10 @@ class SimService
      * batch group (sim/simulator.h batchGroupKey: same topology and
      * simulated micro-batch counts, different durations) are routed
      * through one batched replay — one template build/fetch plus a
-     * single K-wide engine pass — instead of K independent
-     * simulations; remaining requests run concurrently on the pool.
+     * single engine pass over the group's distinct cores (requests
+     * that differ only in global batch size share one core) —
+     * instead of K independent simulations; remaining requests run
+     * concurrently on the pool.
      */
     std::vector<SimulationResult>
     evaluateBatch(const std::vector<SimRequest> &requests,
@@ -199,16 +201,28 @@ class SimService
     /** Runs the evaluator (or the real simulator). */
     SimulationResult compute(const SimRequest &request) const;
 
+    /** How claimInflight() settled a fingerprint. */
+    enum class Claim {
+        Owned,  //!< registered `promise`: the caller must compute
+        Joined, //!< another thread is computing it
+        Cached, //!< published since the caller's cache miss
+    };
+
     /**
-     * Claims `fp` in the in-flight table.  Returns the existing
-     * shared future when another thread got there first (joined =
-     * true), otherwise registers `promise`'s future and returns it.
+     * Claims `fp` in the in-flight table, for a caller whose cache
+     * lookup missed.  Returns the existing shared future when another
+     * thread got there first (Joined).  Otherwise re-checks the cache
+     * under the table's lock and returns a ready future on a hit
+     * (Cached): a computation that published between the caller's
+     * miss and this claim cached its answer before leaving the table,
+     * so one of the two lookups sees it.  Otherwise registers
+     * `promise`'s future and returns it (Owned).
      */
     std::shared_future<SimulationResult>
     claimInflight(uint64_t fp,
                   const std::shared_ptr<std::promise<SimulationResult>>
                       &promise,
-                  bool *joined) EXCLUDES(inflight_mutex_);
+                  Claim *claim) EXCLUDES(inflight_mutex_);
 
     /** Publishes a finished computation: cache, table, promise. */
     void publish(const SimRequest &request, uint64_t fp,

@@ -814,6 +814,8 @@ statzBody(const StatzInfo &info)
     engine.set(
         "batched_points",
         static_cast<int64_t>(info.service.engine.batched_points));
+    engine.set("core_merges",
+               static_cast<int64_t>(info.service.engine.core_merges));
     engine.set("kernel", replayKernelName(activeReplayKernel()));
     service.set("engine", std::move(engine));
 

@@ -404,6 +404,8 @@ snapshot(const EngineCounters &counters)
         counters.queue_runs.load(std::memory_order_relaxed);
     stats.batched_points =
         counters.batched_points.load(std::memory_order_relaxed);
+    stats.core_merges =
+        counters.core_merges.load(std::memory_order_relaxed);
     return stats;
 }
 

@@ -163,7 +163,12 @@ void replayBatchInto(const ReplaySchedule &schedule,
 struct EngineCounters {
     std::atomic<uint64_t> replay_runs{0};  //!< replaySimulation() runs
     std::atomic<uint64_t> queue_runs{0};   //!< runSimulation() runs
-    std::atomic<uint64_t> batched_points{0}; //!< vectors via replayBatch()
+    /** Duration vectors actually replayed via replayBatch(): one per
+     *  distinct core and simulated micro-batch count, not per point. */
+    std::atomic<uint64_t> batched_points{0};
+    /** Batched points answered from another point's core (a
+     *  batch-size scan's repeats), so never replayed themselves. */
+    std::atomic<uint64_t> core_merges{0};
 };
 
 /** A point-in-time snapshot of EngineCounters. */
@@ -171,6 +176,7 @@ struct EngineStats {
     uint64_t replay_runs = 0;
     uint64_t queue_runs = 0;
     uint64_t batched_points = 0;
+    uint64_t core_merges = 0;
 };
 
 /** @return a consistent-enough snapshot (relaxed loads). */

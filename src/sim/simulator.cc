@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <unordered_map>
 
 #include "graph/template.h"
 #include "profiling/synthetic_profiler.h"
@@ -302,6 +303,14 @@ batchGroupKey(const ModelConfig &model, const ParallelConfig &parallel,
     return h.digest();
 }
 
+ParallelConfig
+batchCore(const ParallelConfig &parallel)
+{
+    ParallelConfig core = parallel;
+    core.global_batch_size = 0;
+    return core;
+}
+
 std::vector<SimulationResult>
 Simulator::simulateIterationBatch(const ModelConfig &model,
                                   const std::vector<ParallelConfig> &plans)
@@ -331,7 +340,25 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
     for (const ParallelConfig &plan : plans)
         plan.validate(model, cluster_);
 
-    // One profiler table for the whole group: every plan re-times the
+    // Merge the group into distinct cores (batchCore): equal cores
+    // retime to equal durations and replay to equal runs, so each is
+    // simulated once and every member derives its result from its
+    // core's runs.
+    std::vector<size_t> core_of(n_plans);
+    std::vector<const ParallelConfig *> cores;
+    {
+        std::unordered_map<ParallelConfig, size_t> index;
+        for (size_t j = 0; j < n_plans; ++j) {
+            const auto [it, inserted] =
+                index.emplace(batchCore(plans[j]), cores.size());
+            if (inserted)
+                cores.push_back(&plans[j]);
+            core_of[j] = it->second;
+        }
+    }
+    const size_t n_cores = cores.size();
+
+    // One profiler table for the whole group: every core re-times the
     // same interned descriptors, so each distinct operator is
     // profiled once for all K points.
     SyntheticProfiler profiler(cluster_.node.gpu, plans[0].precision,
@@ -344,13 +371,15 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
     const int n_passes = fast ? 2 : 1;
 
     // Bounds the number of duration vectors alive at once, so a
-    // 512-point sweep over a 400k-task topology does not hold
+    // 512-core sweep over a 400k-task topology does not hold
     // 512 * 400k doubles.
-    constexpr size_t kPlanChunk = 32;
+    constexpr size_t kCoreChunk = 32;
 
-    std::vector<char> fell_back(n_plans, 0);
-    std::vector<RunOutcome> base(n_plans);
-    std::vector<RunOutcome> next(fast ? n_plans : 0);
+    // Per core: its fallback flag and its runs at each simulated
+    // micro-batch count.
+    std::vector<char> fell_back(n_cores, 0);
+    std::vector<RunOutcome> base(n_cores);
+    std::vector<RunOutcome> next(fast ? n_cores : 0);
     for (int pass = 0; pass < n_passes; ++pass) {
         const int n_micro = pass == 0 ? (fast ? cap : n_micro0)
                                       : cap + 1;
@@ -384,30 +413,30 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
 
         std::vector<RunOutcome> &out = pass == 0 ? base : next;
 
-        // Chunked retime -> replay pipeline, double buffered: while
-        // the main thread replays chunk c out of one buffer, the
-        // retime pool (when set) produces chunk c+1's durations into
-        // the other.  Duration buffers are reused across chunks (and
-        // passes): retimeDurations resizes in place, so the steady
-        // state re-times without allocating.
+        // Chunked retime -> replay pipeline over the cores, double
+        // buffered: while the main thread replays chunk c out of one
+        // buffer, the retime pool (when set) produces chunk c+1's
+        // durations into the other.  Duration buffers are reused
+        // across chunks (and passes): retimeDurations resizes in
+        // place, so the steady state re-times without allocating.
         //
         // Concurrent retimes are safe *after the pass's first retime
-        // has run serially*: every plan in the group looks up the
+        // has run serially*: every core in the group looks up the
         // same template descriptors, so that prefill inserts every
         // table entry and the parallel retimes only take read-only
         // memoized hits (the table is not thread-safe under
-        // mutation).  Durations are a pure function of the plan, so
+        // mutation).  Durations are a pure function of the core, so
         // results — and the table/counter snapshots below — are
         // bit-identical to the serial loop.
         struct ChunkBuf {
             std::vector<std::vector<double>> sets; // slot-indexed
-            std::vector<size_t> owner;             // plan per slot
+            std::vector<size_t> owner;             // core per slot
             std::vector<char> ok; //!< slot's retime succeeded
         };
         ChunkBuf bufs[2];
         bool prefilled = false;
 
-        // Collects a chunk's pending plans, serially runs the pass's
+        // Collects a chunk's pending cores, serially runs the pass's
         // first retime (table prefill), then either launches the
         // rest on the pool (returns the in-flight job) or runs them
         // serially (returns null).
@@ -415,9 +444,9 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
             [&](size_t begin, size_t end, ChunkBuf &buf)
             -> std::shared_ptr<ThreadPool::ForJob> {
             buf.owner.clear();
-            for (size_t j = begin; j < end; ++j)
-                if (!fell_back[j])
-                    buf.owner.push_back(j);
+            for (size_t c = begin; c < end; ++c)
+                if (!fell_back[c])
+                    buf.owner.push_back(c);
             const size_t count = buf.owner.size();
             buf.ok.assign(count, 0);
             while (buf.sets.size() < count)
@@ -425,20 +454,20 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
             if (count == 0)
                 return nullptr;
 
-            const auto retime_one = [&buf, &tmpl, &table, &plans,
+            const auto retime_one = [&buf, &tmpl, &table, &cores,
                                      this](size_t slot) {
                 try {
                     buf.ok[slot] =
                         tmpl->retimeDurations(table,
-                                              plans[buf.owner[slot]],
+                                              *cores[buf.owner[slot]],
                                               cluster_, comm_,
                                               &buf.sets[slot])
                             ? 1
                             : 0;
                 } catch (...) {
                     // A throwing retime must not escape a pool
-                    // worker; the plan falls back to its own
-                    // simulateIteration() (which recomputes from
+                    // worker; the core's members fall back to their
+                    // own simulateIteration() (which recomputes from
                     // scratch and surfaces any persistent error on
                     // the calling thread).
                     buf.ok[slot] = 0;
@@ -454,15 +483,15 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
                 first = 1;
                 if (!buf.ok[0]) {
                     // Retime rejection (foreign profiler or
-                    // fingerprint collision) is plan-independent
+                    // fingerprint collision) is core-independent
                     // within a uniform group — every other pending
-                    // plan would reject against the same template and
+                    // core would reject against the same template and
                     // table — so mark them all fallen back instead of
                     // running K rejections.  Matches the serial
                     // loop's end state exactly: each serial rejection
                     // after the first is a read-only no-op.
-                    for (size_t j = 0; j < n_plans; ++j)
-                        fell_back[j] = 1;
+                    for (size_t c = 0; c < n_cores; ++c)
+                        fell_back[c] = 1;
                     return nullptr;
                 }
             }
@@ -482,12 +511,12 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
         };
 
         const size_t n_chunks =
-            (n_plans + kPlanChunk - 1) / kPlanChunk;
+            (n_cores + kCoreChunk - 1) / kCoreChunk;
         std::vector<const double *> set_ptrs;
         std::vector<size_t> alive;
         std::vector<EngineResult> engines;
         std::shared_ptr<ThreadPool::ForJob> job =
-            start_chunk(0, std::min(kPlanChunk, n_plans), bufs[0]);
+            start_chunk(0, std::min(kCoreChunk, n_cores), bufs[0]);
         for (size_t c = 0; c < n_chunks; ++c) {
             ChunkBuf &buf = bufs[c % 2];
             if (job) {
@@ -505,7 +534,7 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
             for (size_t s = 0; s < buf.owner.size(); ++s) {
                 if (!buf.ok[s]) {
                     // Foreign profiler or fingerprint collision:
-                    // this plan rebuilds from scratch below.
+                    // this core's members rebuild from scratch below.
                     fell_back[buf.owner[s]] = 1;
                     continue;
                 }
@@ -513,9 +542,9 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
                 alive.push_back(buf.owner[s]);
             }
             if (c + 1 < n_chunks) {
-                const size_t nb = (c + 1) * kPlanChunk;
+                const size_t nb = (c + 1) * kCoreChunk;
                 job = start_chunk(nb,
-                                  std::min(nb + kPlanChunk, n_plans),
+                                  std::min(nb + kCoreChunk, n_cores),
                                   bufs[(c + 1) % 2]);
             }
             if (set_ptrs.empty())
@@ -536,13 +565,13 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
 
         // Table statistics snapshot, taken where the per-plan path
         // takes it: after this pass's (re)timing work.
-        for (size_t j = 0; j < n_plans; ++j) {
-            if (fell_back[j])
+        for (size_t c = 0; c < n_cores; ++c) {
+            if (fell_back[c])
                 continue;
-            out[j].num_operators = tmpl->numOperators();
-            out[j].num_tasks = tmpl->numTasks();
-            out[j].distinct_profiled = table.numEntries();
-            out[j].profiler_calls = table.numProfilerCalls();
+            out[c].num_operators = tmpl->numOperators();
+            out[c].num_tasks = tmpl->numTasks();
+            out[c].distinct_profiled = table.numEntries();
+            out[c].profiler_calls = table.numProfilerCalls();
         }
     }
 
@@ -557,20 +586,25 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
 
     size_t batched = 0;
     for (size_t j = 0; j < n_plans; ++j) {
-        if (fell_back[j]) {
+        const size_t c = core_of[j];
+        if (fell_back[c]) {
             results[j] = simulateIteration(model, plans[j]);
             continue;
         }
-        results[j] = assembleResult(model, plans[j], base[j],
-                                    fast ? &next[j] : nullptr,
+        results[j] = assembleResult(model, plans[j], base[c],
+                                    fast ? &next[c] : nullptr,
                                     plans[j].numMicroBatches(), cap);
         ++batched;
     }
     if (batched > 0) {
+        const size_t simulated_cores = static_cast<size_t>(
+            std::count(fell_back.begin(), fell_back.end(), 0));
+        counters_->core_merges.fetch_add(batched - simulated_cores,
+                                         std::memory_order_relaxed);
         const double amortized =
             batched_wall / static_cast<double>(batched);
         for (size_t j = 0; j < n_plans; ++j)
-            if (!fell_back[j])
+            if (!fell_back[core_of[j]])
                 results[j].sim_wall_seconds = amortized;
     }
     return results;

@@ -15,6 +15,10 @@
  * counts (2p+2 and 2p+3) exactly and extrapolates the affine tail;
  * exact and fast mode agree to floating-point tolerance (covered by
  * tests), while design-space sweeps run orders of magnitude faster.
+ * Neither capped run depends on the global batch size -- only the
+ * affine tail does -- so a batch-size scan shares its simulated runs:
+ * simulateIterationBatch() simulates each distinct core (batchCore())
+ * once and derives every batch size's result from it.
  *
  * Build-once / retime-many: graph construction and task expansion are
  * ~97% of a cold simulation, yet the resulting topology depends only
@@ -29,8 +33,8 @@
  * queue — the template's execution order (built lazily on first
  * reuse) turns each run into one linear pass (sim/engine.h), and
  * structurally identical sweep points batch through
- * simulateIterationBatch(), which times K plans in lockstep over one
- * shared schedule.  The queue engine stays as the cold path (first
+ * simulateIterationBatch(), which times K distinct cores in lockstep
+ * over one shared schedule.  The queue engine stays as the cold path (first
  * build *and* capture) and the golden reference.
  */
 #ifndef VTRAIN_SIM_SIMULATOR_H
@@ -122,12 +126,16 @@ class Simulator
 
     /**
      * Evaluates a structurally uniform group of plans in one batched
-     * pass: the task-graph topology is captured (or fetched) once per
-     * simulated micro-batch count, each plan contributes only a
-     * re-timed duration vector, and the engine simulates all plans in
-     * lockstep over the shared schedule (engine.h replayBatch).  One
-     * shared lookup table profiles each distinct operator once for
-     * the whole group.
+     * pass.  The plans are first merged into distinct cores
+     * (batchCore(): the plan without its global batch size).  The
+     * task-graph topology is captured (or fetched) once per simulated
+     * micro-batch count, each core contributes one re-timed duration
+     * vector per count, and the engine simulates all cores in
+     * lockstep over the shared schedule (engine.h replayBatch).  Every
+     * plan's result is then assembled from its core's runs, so a
+     * K-point group costs one template fetch, one retime and replay
+     * per distinct core, and K cheap assemblies.  One shared lookup
+     * table profiles each distinct operator once for the whole group.
      *
      * Results are identical (modulo sim_wall_seconds) to calling
      * simulateIteration() per plan.  Plans must share this
@@ -135,7 +143,8 @@ class Simulator
      * batchable — mixed batchGroupKey()s, templates disabled, a
      * perturber, the non-memoized ablation, or a retime rejection —
      * the affected plans transparently fall back to the per-plan
-     * path.
+     * path.  EngineCounters::core_merges counts the points answered
+     * from another point's core.
      */
     std::vector<SimulationResult>
     simulateIterationBatch(const ModelConfig &model,
@@ -234,6 +243,18 @@ uint64_t batchGroupKey(const ModelConfig &model,
                        const ParallelConfig &parallel,
                        const ClusterSpec &cluster,
                        const SimOptions &options);
+
+/**
+ * @return the core of `parallel` within its batch group: the plan with
+ * global_batch_size cleared.  The group key already fixes the
+ * simulated micro-batch count and retiming never reads the batch
+ * size, so two members with equal cores simulate identical runs and
+ * differ only in the affine tail and the FLOP count that
+ * assembleResult derives from their own batch size.
+ * Simulator::simulateIterationBatch simulates each distinct core once;
+ * the serve layer slices large groups by core.
+ */
+ParallelConfig batchCore(const ParallelConfig &parallel);
 
 } // namespace vtrain
 

@@ -54,6 +54,20 @@ class Counter
         value_.fetch_add(n, std::memory_order_relaxed);
     }
 
+    /**
+     * Raises the count to `v` when it is below (never lowers it): a
+     * scrape-time mirror of a total kept elsewhere.  Idempotent, so
+     * concurrent scrapes cannot double-count.
+     */
+    void raiseTo(uint64_t v)
+    {
+        uint64_t current = value_.load(std::memory_order_relaxed);
+        while (current < v &&
+               !value_.compare_exchange_weak(current, v,
+                                             std::memory_order_relaxed)) {
+        }
+    }
+
     uint64_t value() const
     {
         return value_.load(std::memory_order_relaxed);

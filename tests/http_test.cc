@@ -221,8 +221,9 @@ TEST(HttpFrontendTest, StatzExposesEngineCounters)
         << error;
     ASSERT_EQ(response.status, 200) << response.body;
 
-    // Two structurally identical fast-mode points: the batch handler
-    // routes them through one batched replay.
+    // Two fast-mode points that differ only in batch size: the batch
+    // handler routes them through one batched replay of their shared
+    // core.
     json::Value requests = json::Value::array();
     requests.push(toJsonValue(requestVariant(1)));
     requests.push(toJsonValue(requestVariant(2)));
@@ -247,17 +248,33 @@ TEST(HttpFrontendTest, StatzExposesEngineCounters)
     const json::Value *engine = service->find("engine");
     ASSERT_NE(engine, nullptr);
     for (const char *key :
-         {"replay_runs", "queue_runs", "batched_points"}) {
+         {"replay_runs", "queue_runs", "batched_points", "core_merges"}) {
         ASSERT_NE(engine->find(key), nullptr) << key;
         EXPECT_GE(engine->find(key)->asInt64(), 0) << key;
     }
     // The first evaluate captured its template cold (queue engine);
-    // the batch simulated 2 points x 2 micro-batch counts in batched
-    // passes; the last evaluate re-timed the batch's templates via
-    // two schedule replays.
+    // the batch simulated its one core x 2 micro-batch counts in
+    // batched passes and answered its second point from that core;
+    // the last evaluate re-timed the batch's templates via two
+    // schedule replays.
     EXPECT_EQ(engine->find("queue_runs")->asInt64(), 1);
-    EXPECT_EQ(engine->find("batched_points")->asInt64(), 4);
+    EXPECT_EQ(engine->find("batched_points")->asInt64(), 2);
+    EXPECT_EQ(engine->find("core_merges")->asInt64(), 1);
     EXPECT_EQ(engine->find("replay_runs")->asInt64(), 2);
+
+    // /metricsz mirrors the same counters at scrape time.
+    ASSERT_TRUE(client.get("/metricsz", &response, &error)) << error;
+    ASSERT_EQ(response.status, 200);
+    const std::string &text = response.body;
+    EXPECT_NE(text.find("# TYPE vtrain_sim_engine_events_total counter"),
+              std::string::npos)
+        << text;
+    for (const char *series :
+         {"vtrain_sim_engine_events_total{counter=\"queue_runs\"} 1\n",
+          "vtrain_sim_engine_events_total{counter=\"replay_runs\"} 2\n",
+          "vtrain_sim_engine_events_total{counter=\"batched_points\"} 2\n",
+          "vtrain_sim_engine_events_total{counter=\"core_merges\"} 1\n"})
+        EXPECT_NE(text.find(series), std::string::npos) << series;
 }
 
 TEST(HttpFrontendTest, BatchPreservesOrderAndDedups)

@@ -423,9 +423,10 @@ TEST(ServeService, BatchRoutesStructuralGroupsThroughBatchedReplay)
 {
     // Four real-simulator requests that differ only in global batch
     // size (fast mode simulates the same capped prefix) form one
-    // structural group: one template fetch per micro-batch count plus
-    // one batched engine pass, with per-request results identical to
-    // the per-request entry point.
+    // structural group with one core: one template fetch per
+    // micro-batch count plus one batched engine pass over the single
+    // core, with per-request results identical to the per-request
+    // entry point.
     SimService service;
     std::vector<SimRequest> requests;
     for (int i = 1; i <= 4; ++i)
@@ -437,14 +438,58 @@ TEST(ServeService, BatchRoutesStructuralGroupsThroughBatchedReplay)
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.requests, 4u);
     EXPECT_EQ(stats.computed, 4u);
-    // 4 points x fast mode's two simulated micro-batch counts.
-    EXPECT_EQ(stats.engine.batched_points, 8u);
+    // 1 core x fast mode's two simulated micro-batch counts; the
+    // other three points are answered from that core.
+    EXPECT_EQ(stats.engine.batched_points, 2u);
+    EXPECT_EQ(stats.engine.core_merges, 3u);
     EXPECT_EQ(stats.engine.queue_runs, 0u);
 
     SimService individual;
     for (size_t i = 0; i < requests.size(); ++i) {
         SimulationResult want = individual.evaluate(requests[i]);
         SimulationResult got = batched[i];
+        want.sim_wall_seconds = 0.0;
+        got.sim_wall_seconds = 0.0;
+        EXPECT_EQ(want, got) << "batch slot " << i;
+    }
+}
+
+TEST(ServeService, LargeScanGroupRunsAsOneUnitPerCore)
+{
+    // 72 fast-mode points in one structural group: three DP degrees,
+    // each at 24 batch sizes.  The group has more members than a pool
+    // unit takes (64) but only 3 distinct cores, so it must run as
+    // one unit that replays each core once per capped micro-batch
+    // count -- slicing by member would re-simulate cores in a second
+    // unit.
+    SimService::Options options;
+    options.n_threads = 2;
+    SimService service(options);
+    std::vector<SimRequest> requests;
+    for (int k = 0; k < 24; ++k) {
+        for (const int d : {2, 4, 8}) {
+            SimRequest r = tinyRequest();
+            r.cluster = makeCluster(64);
+            r.parallel.data = d;
+            r.parallel.global_batch_size = d * (8 + k); // n_micro >= 8
+            requests.push_back(r);
+        }
+    }
+
+    const std::vector<SimulationResult> results =
+        service.evaluateBatch(requests);
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.computed, 72u);
+    EXPECT_EQ(stats.engine.batched_points, 2u * 3u);
+    EXPECT_EQ(stats.engine.core_merges, 72u - 3u);
+    EXPECT_EQ(stats.engine.queue_runs, 0u);
+
+    ASSERT_EQ(results.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+        Simulator individual(requests[i].cluster, requests[i].options);
+        SimulationResult want = individual.simulateIteration(
+            requests[i].model, requests[i].parallel);
+        SimulationResult got = results[i];
         want.sim_wall_seconds = 0.0;
         got.sim_wall_seconds = 0.0;
         EXPECT_EQ(want, got) << "batch slot " << i;

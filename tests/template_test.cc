@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -214,24 +215,23 @@ TEST(TemplateGolden, BatchedReplayMatchesPerPlanPath)
 TEST(TemplateGolden, ParallelRetimesMatchSerialBatch)
 {
     // The in-group parallel-retime pipeline (Simulator::setRetimePool)
-    // must be bit-identical to the serial batch path.  36 plans span
-    // two 32-plan chunks, so the double-buffered duration arena swaps
-    // at least once and the overlap window is actually exercised.
+    // must be bit-identical to the serial batch path.  36 distinct
+    // cores (one per DP degree) span two 32-core chunks, so the
+    // double-buffered duration arena swaps at least once and the
+    // overlap window is actually exercised.
     const ModelConfig model = tinyModel();
-    const ClusterSpec cluster = makeCluster(64);
+    const ClusterSpec cluster = makeCluster(256);
     const SimOptions options; // fast mode on
 
     std::vector<ParallelConfig> plans;
-    for (int rep = 0; rep < 12; ++rep) {
-        for (const int d : {2, 4, 8}) {
-            ParallelConfig plan;
-            plan.tensor = 2;
-            plan.data = d;
-            plan.pipeline = 2;
-            plan.micro_batch_size = 1;
-            plan.global_batch_size = 16 * d;
-            plans.push_back(plan);
-        }
+    for (int d = 2; d < 38; ++d) {
+        ParallelConfig plan;
+        plan.tensor = 2;
+        plan.data = d;
+        plan.pipeline = 2;
+        plan.micro_batch_size = 1;
+        plan.global_batch_size = 16 * d;
+        plans.push_back(plan);
     }
 
     Simulator serial(cluster, options);
@@ -254,6 +254,81 @@ TEST(TemplateGolden, ParallelRetimesMatchSerialBatch)
               serial.engineCounters()->batched_points.load());
     EXPECT_EQ(parallel.engineCounters()->queue_runs.load(),
               serial.engineCounters()->queue_runs.load());
+}
+
+TEST(TemplateGolden, BatchSizeScanMatchesPerPlanAndQueuePaths)
+{
+    // A batch-size scan: three DP degrees, each at eleven global batch
+    // sizes, plus an exact duplicate request.  The four smallest
+    // sizes (n_micro <= cap+1 = 7) run in exact mode, one group per
+    // micro-batch count; the rest share one fast-mode group whose 22
+    // members merge into 3 cores.  Batched the way the serve layer
+    // batches (one call per batchGroupKey), every point must equal
+    // both its own simulateIteration() and the template-less queue
+    // engine, in every field but the wall clock.
+    const ModelConfig model = tinyModel();
+    const ClusterSpec cluster = makeCluster(64);
+    const SimOptions options; // fast mode on
+
+    std::vector<ParallelConfig> scan;
+    for (const int d : {2, 4, 8}) {
+        for (const int n_micro : {2, 4, 6, 7, 8, 9, 12, 16, 24, 32, 48}) {
+            ParallelConfig plan;
+            plan.tensor = 2;
+            plan.data = d;
+            plan.pipeline = 2;
+            plan.micro_batch_size = 1;
+            plan.global_batch_size = n_micro * d;
+            scan.push_back(plan);
+        }
+    }
+    scan.push_back(scan[6]); // d=2, n_micro=12: a fast-mode repeat
+
+    const auto batched = [&](ThreadPool *pool) {
+        Simulator sim(cluster, options);
+        sim.setRetimePool(pool);
+        std::map<uint64_t, std::vector<size_t>> groups;
+        for (size_t i = 0; i < scan.size(); ++i)
+            groups[batchGroupKey(model, scan[i], cluster, options)]
+                .push_back(i);
+        EXPECT_EQ(groups.size(), 5u) << "4 exact groups + 1 fast group";
+        std::vector<SimulationResult> results(scan.size());
+        for (const auto &[key, members] : groups) {
+            std::vector<ParallelConfig> plans;
+            for (const size_t i : members)
+                plans.push_back(scan[i]);
+            const std::vector<SimulationResult> got =
+                sim.simulateIterationBatch(model, plans);
+            for (size_t m = 0; m < members.size(); ++m)
+                results[members[m]] = got[m];
+        }
+        // Each exact group replays its 3 cores once; the fast group
+        // replays its 3 cores at both capped counts and answers its
+        // other 19 members from them.
+        const EngineCounters &counters = *sim.engineCounters();
+        EXPECT_EQ(counters.batched_points.load(), 4u * 3u + 3u * 2u);
+        EXPECT_EQ(counters.core_merges.load(), 19u);
+        EXPECT_EQ(counters.queue_runs.load(), 0u)
+            << "captures feed the batched replay, not the queue";
+        return results;
+    };
+    const std::vector<SimulationResult> serial = batched(nullptr);
+    ThreadPool pool(4);
+    const std::vector<SimulationResult> pooled = batched(&pool);
+
+    for (size_t i = 0; i < scan.size(); ++i) {
+        Simulator individual(cluster, options);
+        const SimulationResult want =
+            timeless(individual.simulateIteration(model, scan[i]));
+        Simulator queue_only(cluster, options, nullptr);
+        EXPECT_EQ(timeless(queue_only.simulateIteration(model, scan[i])),
+                  want)
+            << "point " << i;
+        EXPECT_EQ(timeless(serial[i]), want) << "point " << i;
+        EXPECT_EQ(timeless(pooled[i]), want) << "point " << i;
+    }
+    EXPECT_TRUE(serial[6].extrapolated);
+    EXPECT_FALSE(serial[0].extrapolated);
 }
 
 TEST(TemplateGolden, BatchedReplayExactModeAndMixedGroupFallBack)
