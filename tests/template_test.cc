@@ -611,6 +611,82 @@ TEST(TemplateRetime, RejectsMismatchedKernelDecomposition)
         tmpl->retime(flash_table, plan, cluster, comm, &retimed));
 }
 
+TEST(TemplateRetime, SimulatorRecapturesARejectedTemplate)
+{
+    // A cached template whose kernel decomposition disagrees with the
+    // simulator's table -- captured under FlashAttention but stored
+    // at the Megatron fingerprint, a forced collision -- must be
+    // rebuilt, never mis-timed, by every Simulator entry point, and
+    // the rebuilt template must replace the stale cache entry.
+    const ModelConfig model = tinyModel();
+    const ClusterSpec cluster = makeCluster(64);
+    const SimOptions options; // Megatron attention, fast mode on
+    std::vector<ParallelConfig> plans;
+    for (const int d : {2, 4, 8})
+        plans.push_back(planOf(GoldenCase{2, d, 2, 1, 16 * d}));
+    const int cap = 2 * plans[0].pipeline + 2; // n_micro 16 > cap + 1
+    const uint64_t fp = structuralFingerprint(
+        model, plans[0], cap, options.collapse_operators,
+        options.attention);
+    CommModel comm(cluster);
+
+    const auto poisoned_cache = [&] {
+        GraphBuilder builder(model, plans[0], cluster, comm);
+        BuildOptions build_options;
+        build_options.n_micro_override = cap;
+        SyntheticProfiler flash(cluster.node.gpu, Precision::FP16,
+                                AttentionImpl::FlashAttention);
+        OperatorToTaskTable flash_table(flash);
+        TaskGraph expanded;
+        auto cache = std::make_shared<GraphTemplateCache>();
+        cache->put(fp, GraphTemplate::capture(builder.build(build_options),
+                                              flash_table, {}, &expanded));
+        return cache;
+    };
+    // Does the template cached at `fp` retime under a Megatron table?
+    const auto retimes_under_megatron = [&](GraphTemplateCache &cache) {
+        SyntheticProfiler megatron(cluster.node.gpu);
+        OperatorToTaskTable table(megatron);
+        const auto tmpl = cache.get(fp);
+        std::vector<double> durations;
+        return tmpl != nullptr &&
+               tmpl->retimeDurations(table, plans[0], cluster, comm,
+                                     &durations);
+    };
+
+    std::vector<SimulationResult> want;
+    for (const ParallelConfig &plan : plans) {
+        Simulator scratch(cluster, options, nullptr);
+        want.push_back(timeless(scratch.simulateIteration(model, plan)));
+    }
+
+    {
+        const auto cache = poisoned_cache();
+        ASSERT_FALSE(retimes_under_megatron(*cache));
+        Simulator sim(cluster, options, cache);
+        for (size_t i = 0; i < plans.size(); ++i)
+            EXPECT_EQ(timeless(sim.simulateIteration(model, plans[i])),
+                      want[i])
+                << "plan " << i;
+        EXPECT_TRUE(retimes_under_megatron(*cache));
+    }
+
+    ThreadPool pool(4);
+    for (ThreadPool *retime_pool : {static_cast<ThreadPool *>(nullptr),
+                                    &pool}) {
+        const auto cache = poisoned_cache();
+        Simulator sim(cluster, options, cache);
+        sim.setRetimePool(retime_pool);
+        const std::vector<SimulationResult> got =
+            sim.simulateIterationBatch(model, plans);
+        ASSERT_EQ(got.size(), plans.size());
+        for (size_t i = 0; i < plans.size(); ++i)
+            EXPECT_EQ(timeless(got[i]), want[i])
+                << "plan " << i << (retime_pool ? " (pooled)" : "");
+        EXPECT_TRUE(retimes_under_megatron(*cache));
+    }
+}
+
 TEST(TemplateRetime, CaptureRejectsPerturbedExpansions)
 {
     class Doubler : public Perturber
