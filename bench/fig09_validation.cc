@@ -12,7 +12,7 @@
  * "Measured" times come from the testbed surrogate (see DESIGN.md);
  * the bench reports the same MAPE / R^2 statistics as the paper.
  */
-#include "bench_common.h"
+#include "validation_common.h"
 
 #include <iostream>
 
@@ -20,14 +20,9 @@ using namespace vtrain;
 
 namespace {
 
-struct Stats {
-    std::vector<double> predicted;
-    std::vector<double> measured;
-};
-
 void
-report(const char *name, const Stats &stats, double paper_mape,
-       double paper_r2)
+report(const char *name, const bench::ValidationRun &stats,
+       double paper_mape, double paper_r2)
 {
     std::printf("%s: %zu data points\n", name, stats.predicted.size());
     std::printf("  MAPE = %.2f%% (paper: %.2f%%)\n",
@@ -49,101 +44,16 @@ main()
                   "Predicted vs. measured single-iteration training "
                   "time (single-node and multi-node)");
 
-    // ----------------------------------------------------------------
-    // (a) Single-node: one 8-GPU A100 node.
-    // ----------------------------------------------------------------
-    Stats single;
-    {
-        const ClusterSpec cluster = makeCluster(8);
-        Simulator predictor(cluster);
-        TestbedSimulator testbed(cluster);
-
-        // LLM configurations in the 1-7B range that fit 8 GPUs.
-        const std::vector<ModelConfig> models = {
-            makeModel(1536, 24, 16), makeModel(2048, 24, 16),
-            makeModel(2048, 32, 32), makeModel(2560, 32, 32),
-            makeModel(3072, 30, 32), makeModel(4096, 24, 32),
-        };
-        for (const auto &model : models) {
-            for (int t : {1, 2, 4, 8}) {
-                for (int d : {1, 2, 4, 8}) {
-                    for (int p : {1, 2, 4, 8}) {
-                        if (t * d * p != 8)
-                            continue;
-                        if (model.num_layers % p != 0)
-                            continue;
-                        for (int m : {1, 2, 4, 8}) {
-                            ParallelConfig plan =
-                                bench::makePlan(t, d, p, m, 64);
-                            if (!plan.valid(model, cluster))
-                                continue;
-                            if (!fitsInMemory(model, plan,
-                                              cluster.node.gpu))
-                                continue;
-                            single.predicted.push_back(
-                                predictor
-                                    .simulateIteration(model, plan)
-                                    .iteration_seconds);
-                            single.measured.push_back(
-                                testbed.measureIteration(model, plan)
-                                    .iteration_seconds);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    report("Fig. 9(a) single-node validation", single, 8.37, 0.9896);
-
-    // ----------------------------------------------------------------
-    // (b) Multi-node: 64-512 GPUs, Megatron-LM-style models.
-    // ----------------------------------------------------------------
-    Stats multi;
-    {
-        struct MultiPoint {
-            ModelConfig model;
-            int gpus, t, d, p, m, batch;
-        };
-        std::vector<MultiPoint> points;
-        const ModelConfig m3_6 = zoo::scaled3_6b();
-        const ModelConfig m18 = zoo::scaled18_4b();
-        const ModelConfig m39 = zoo::scaled39_1b();
-        for (int m : {1, 2, 4, 8}) {
-            points.push_back({m3_6, 64, 2, 32, 1, m, 512});
-            points.push_back({m3_6, 64, 1, 64, 1, m, 512});
-            points.push_back({m3_6, 64, 4, 16, 1, m, 512});
-            points.push_back({m3_6, 128, 2, 64, 1, m, 512});
-            points.push_back({m18, 256, 8, 32, 1, m, 1024});
-            points.push_back({m18, 256, 8, 16, 2, m, 1024});
-            points.push_back({m18, 128, 8, 16, 1, m, 1024});
-            points.push_back({m18, 512, 8, 64, 1, m, 1024});
-            points.push_back({m39, 512, 8, 32, 2, m, 1536});
-            points.push_back({m39, 512, 4, 32, 4, m, 1536});
-            points.push_back({m39, 512, 8, 16, 4, m, 1536});
-            points.push_back({m39, 256, 8, 16, 2, m, 1536});
-            points.push_back({m39, 512, 2, 64, 4, m, 1536});
-            points.push_back({m39, 384, 8, 16, 3, m, 1536});
-            points.push_back({m39, 512, 8, 8, 8, m, 1536});
-        }
-        for (const auto &point : points) {
-            const ClusterSpec cluster = makeCluster(point.gpus);
-            ParallelConfig plan = bench::makePlan(
-                point.t, point.d, point.p, point.m, point.batch);
-            if (!plan.valid(point.model, cluster))
-                continue;
-            if (!fitsInMemory(point.model, plan, cluster.node.gpu))
-                continue;
-            Simulator predictor(cluster);
-            TestbedSimulator testbed(cluster);
-            multi.predicted.push_back(
-                predictor.simulateIteration(point.model, plan)
-                    .iteration_seconds);
-            multi.measured.push_back(
-                testbed.measureIteration(point.model, plan)
-                    .iteration_seconds);
-        }
-    }
-    report("Fig. 9(b) multi-node validation", multi, 14.73, 0.9887);
+    // (a) Single-node: one 8-GPU A100 node; (b) multi-node: 64-512
+    // GPUs, Megatron-LM-style models.
+    const bench::ValidationRun single =
+        bench::runValidation(bench::singleNodeValidationPoints());
+    report("Fig. 9(a) single-node validation", single,
+           bench::kPaperSingleNodeMape, 0.9896);
+    const bench::ValidationRun multi =
+        bench::runValidation(bench::multiNodeValidationPoints());
+    report("Fig. 9(b) multi-node validation", multi,
+           bench::kPaperMultiNodeMape, 0.9887);
 
     // ----------------------------------------------------------------
     // Bandwidth-effectiveness sweep (Sec. IV): the paper sweeps alpha

@@ -407,9 +407,11 @@ HttpFrontend::handleMetricz() const
     // tally, and each scrape raises the mirrored series to it.
     const std::string_view engine_help =
         "Simulator engine work, as on /statz service.engine: "
-        "replay_runs and queue_runs count single runs, batched_points "
-        "the duration vectors replayed in batches, core_merges the "
-        "batched points answered from another point's core.";
+        "queue_runs counts runs timed by the queue engine (captures "
+        "and template-less runs), replay_runs duration vectors "
+        "replayed by a pass with one core, batched_points vectors "
+        "replayed alongside at least one other, core_merges points "
+        "answered from another point's core.";
     const std::pair<const char *, uint64_t> engine_counters[] = {
         {"replay_runs", stats.engine.replay_runs},
         {"queue_runs", stats.engine.queue_runs},

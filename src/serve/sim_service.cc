@@ -20,6 +20,13 @@ poolOptions(const SimService::Options &options)
     return pool;
 }
 
+/** @return true once `deadline_ns` (0 = none) has passed. */
+bool
+pastDeadline(uint64_t deadline_ns)
+{
+    return deadline_ns != 0 && util::monotonicNanos() >= deadline_ns;
+}
+
 } // namespace
 
 SimService::SimService(Options options)
@@ -155,12 +162,8 @@ SimService::evaluate(const SimRequest &request, uint64_t deadline_ns)
         util::MutexLock lock(stats_mutex_);
         ++requests_;
     }
-    const auto expired = [deadline_ns] {
-        return deadline_ns != 0 &&
-               util::monotonicNanos() >= deadline_ns;
-    };
     if (!request.cacheable()) {
-        if (expired())
+        if (pastDeadline(deadline_ns))
             throw DeadlineExceeded();
         const SimulationResult result = compute(request);
         {
@@ -198,7 +201,7 @@ SimService::evaluate(const SimRequest &request, uint64_t deadline_ns)
 
     // Compute on the calling thread: the synchronous path pays no
     // queueing latency and cannot deadlock a saturated pool.
-    if (expired()) {
+    if (pastDeadline(deadline_ns)) {
         // The fingerprint was claimed above; joiners must see the
         // failure too, not hang on an abandoned promise.
         failDeadline(fp, promise);
@@ -224,11 +227,12 @@ std::shared_future<SimulationResult>
 SimService::evaluateAsync(const SimRequest &request)
 {
     return evaluateAsyncWithFp(
-        request, request.cacheable() ? request.fingerprint() : 0);
+        request, request.cacheable() ? request.fingerprint() : 0, 0);
 }
 
 std::shared_future<SimulationResult>
-SimService::evaluateAsyncWithFp(const SimRequest &request, uint64_t fp)
+SimService::evaluateAsyncWithFp(const SimRequest &request, uint64_t fp,
+                                uint64_t deadline_ns)
 {
     {
         util::MutexLock lock(stats_mutex_);
@@ -238,10 +242,12 @@ SimService::evaluateAsyncWithFp(const SimRequest &request, uint64_t fp)
         auto promise =
             std::make_shared<std::promise<SimulationResult>>();
         auto future = promise->get_future().share();
-        pool_.submit([this, request, promise] {
+        pool_.submit([this, request, promise, deadline_ns] {
             // Never let an exception escape into the worker loop
             // (std::terminate); deliver it through the future.
             try {
+                if (pastDeadline(deadline_ns))
+                    throw DeadlineExceeded();
                 const SimulationResult result = compute(request);
                 {
                     util::MutexLock lock(stats_mutex_);
@@ -272,8 +278,10 @@ SimService::evaluateAsyncWithFp(const SimRequest &request, uint64_t fp)
     if (claim != Claim::Owned)
         return future;
 
-    pool_.submit([this, request, fp, promise] {
+    pool_.submit([this, request, fp, promise, deadline_ns] {
         try {
+            if (pastDeadline(deadline_ns))
+                throw DeadlineExceeded();
             const SimulationResult result = compute(request);
             {
                 util::MutexLock lock(stats_mutex_);
@@ -309,7 +317,7 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
 {
     // Expired before anything was claimed: shed the whole batch up
     // front rather than simulating answers nobody is waiting for.
-    if (deadline_ns != 0 && util::monotonicNanos() >= deadline_ns)
+    if (pastDeadline(deadline_ns))
         throw DeadlineExceeded();
     // Collapse duplicates up front so each distinct point is claimed
     // (and simulated) once, then fan the shared answers back out in
@@ -388,8 +396,7 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
         if (inline_compute) {
             std::promise<SimulationResult> ready;
             try {
-                if (deadline_ns != 0 &&
-                    util::monotonicNanos() >= deadline_ns)
+                if (pastDeadline(deadline_ns))
                     throw DeadlineExceeded();
                 const SimulationResult result = compute(request);
                 {
@@ -402,7 +409,7 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
             }
             futures.push_back(ready.get_future().share());
         } else {
-            futures.push_back(evaluateAsyncWithFp(request, 0));
+            futures.push_back(evaluateAsyncWithFp(request, 0, deadline_ns));
         }
     }
 
@@ -429,15 +436,11 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
     // collision) or the batched call throws.
     const auto run_group = [this,
                             deadline_ns](std::vector<Claimed> members) {
-        const auto expired = [deadline_ns] {
-            return deadline_ns != 0 &&
-                   util::monotonicNanos() >= deadline_ns;
-        };
         // The deadline expired while this unit sat queued (or while
         // earlier inline units computed): shed every member instead
         // of computing answers the caller gave up on.  The promises
         // were claimed, so they must be failed, never abandoned.
-        if (expired()) {
+        if (pastDeadline(deadline_ns)) {
             for (const Claimed &member : members)
                 failDeadline(member.fp, member.promise);
             return;
@@ -499,7 +502,7 @@ SimService::evaluateBatchImpl(const std::vector<SimRequest> &requests,
         if (batched)
             return;
         for (const Claimed &member : members) {
-            if (expired()) {
+            if (pastDeadline(deadline_ns)) {
                 failDeadline(member.fp, member.promise);
                 continue;
             }

@@ -59,9 +59,8 @@ struct ServiceStats {
     TemplateCacheStats graph_templates;
 
     /** Engine-mode counters shared by every computed request: how
-     *  often the engine replayed a captured schedule vs ran the queue
-     *  fallback, and how many sweep points went through the batched
-     *  replay (see sim/engine.h). */
+     *  each run was timed -- queue engine, a replay alone, or a
+     *  batched replay (see EngineCounters in sim/engine.h). */
     EngineStats engine;
 
     /** Worker-pool facts: thread count, pinning state and targets,
@@ -241,9 +240,12 @@ class SimService
         const std::shared_ptr<std::promise<SimulationResult>> &promise)
         EXCLUDES(inflight_mutex_);
 
-    /** evaluateAsync() with the fingerprint already computed. */
+    /** evaluateAsync() with the fingerprint already computed; work
+     *  that starts after `deadline_ns` (0 = none) fails with
+     *  DeadlineExceeded instead of computing. */
     std::shared_future<SimulationResult>
-    evaluateAsyncWithFp(const SimRequest &request, uint64_t fp);
+    evaluateAsyncWithFp(const SimRequest &request, uint64_t fp,
+                        uint64_t deadline_ns);
 
     /** Shared body of evaluateBatch / evaluateBatchInline. */
     std::vector<SimulationResult>

@@ -114,68 +114,6 @@ runSimulation(const TaskGraph &graph, std::vector<TaskSpan> *trace)
 namespace {
 
 /**
- * Linear-pass replay core (see engine.h).  Visits positions in the
- * queue engine's pop order, so the per-lane timeline evolution and
- * every floating-point accumulation are bit-identical to
- * runSimulationImpl over the same topology.
- */
-template <bool kTrace>
-EngineResult
-replayImpl(const ReplaySchedule &schedule, const double *const durations,
-           std::vector<TaskSpan> *trace)
-{
-    const size_t n = schedule.numTasks();
-    const int n_devices = schedule.num_devices;
-    const int32_t *const order = schedule.order.data();
-    const int32_t *const lane = schedule.lane.data();
-    const int32_t *const busy_lane = schedule.busy_lane.data();
-    const uint8_t *const tag = schedule.tag.data();
-    const int32_t *const child_offsets = schedule.child_offsets.data();
-    const int32_t *const child_list = schedule.child_list.data();
-
-    // busy_compute and busy_comm interleaved per device (the
-    // busy_lane encoding), split apart once at the end.
-    std::vector<double> busy(static_cast<size_t>(n_devices) * 2, 0.0);
-    std::array<double, kNumTaskTags> time_by_tag{};
-    std::vector<double> ready_vec(n, 0.0);
-    std::vector<double> timeline(
-        static_cast<size_t>(n_devices) * kNumStreams, 0.0);
-    double *const ready = ready_vec.data();
-
-    double makespan = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-        const double duration = durations[order[i]];
-        const int32_t l = lane[i];
-        const double start = std::max(ready[i], timeline[l]);
-        const double end = start + duration;
-        timeline[l] = end;
-        makespan = std::max(makespan, end);
-        busy[busy_lane[i]] += duration;
-        time_by_tag[tag[i]] += duration;
-        if constexpr (kTrace)
-            (*trace)[order[i]] = TaskSpan{start, end};
-
-        for (const int32_t *c = child_list + child_offsets[i],
-                           *const c_end =
-                               child_list + child_offsets[i + 1];
-             c != c_end; ++c)
-            ready[*c] = std::max(ready[*c], end);
-    }
-
-    EngineResult result;
-    result.busy_compute.resize(n_devices);
-    result.busy_comm.resize(n_devices);
-    for (int d = 0; d < n_devices; ++d) {
-        result.busy_compute[d] = busy[static_cast<size_t>(d) * 2];
-        result.busy_comm[d] = busy[static_cast<size_t>(d) * 2 + 1];
-    }
-    result.time_by_tag = time_by_tag;
-    result.makespan = makespan;
-    result.executed = n;
-    return result;
-}
-
-/**
  * Widest lockstep lane count of replayBatch.  Four doubles (half a
  * cache line) measured fastest on the baseline machine: narrower
  * chunks amortize the schedule stream less, while wider ones (8-16)
@@ -187,18 +125,25 @@ replayImpl(const ReplaySchedule &schedule, const double *const durations,
 constexpr size_t kMaxReplayWidth = 4;
 
 /**
- * One K-wide lockstep pass over the schedule (see replayBatch).  K is
- * a compile-time constant so the per-position loops fully unroll, and
- * the working arrays are __restrict: they never alias each other or
- * the inputs, which lets the compiler keep the K ends and the K
- * running makespans in registers.
+ * One K-wide lockstep pass over the schedule (see replayBatch), and
+ * with K = 1 the single replay (replaySimulation).  Positions are
+ * visited in the queue engine's pop order, so the per-lane timeline
+ * evolution and every floating-point accumulation are bit-identical
+ * to runSimulationImpl over the same topology.  K is a compile-time
+ * constant so the per-position loops fully unroll, and the working
+ * arrays are __restrict: they never alias each other or the inputs,
+ * which lets the compiler keep the K ends and the K running makespans
+ * in registers.  kTrace (K = 1 only) records every task's span into
+ * `trace`, indexed by task id; it is compiled out otherwise.
  */
-template <size_t K>
+template <size_t K, bool kTrace = false>
 void
 replayChunk(const ReplaySchedule &schedule,
             const double *const *set_ptrs,
-            std::vector<double> &ready_vec, EngineResult *results)
+            std::vector<double> &ready_vec, EngineResult *results,
+            TaskSpan *trace = nullptr)
 {
+    static_assert(K == 1 || !kTrace, "a trace holds one point's spans");
     const size_t n = schedule.numTasks();
     const int n_devices = schedule.num_devices;
     const int32_t *const order = schedule.order.data();
@@ -245,6 +190,8 @@ replayChunk(const ReplaySchedule &schedule,
             busy_base[j] += duration;
             tag_base[j] += duration;
             makespan[j] = std::max(makespan[j], end[j]);
+            if constexpr (kTrace)
+                trace[u] = TaskSpan{start, end[j]};
         }
         for (const int32_t *c = child_list + child_offsets[i],
                            *const c_end =
@@ -272,11 +219,17 @@ replaySimulation(const ReplaySchedule &schedule,
                  "replay durations (", durations.size(),
                  ") do not match the schedule (", schedule.numTasks(),
                  " tasks)");
+    const double *const set = durations.data();
+    std::vector<double> ready;
+    EngineResult result;
     if (trace) {
         trace->assign(schedule.numTasks(), TaskSpan{});
-        return replayImpl<true>(schedule, durations.data(), trace);
+        replayChunk<1, true>(schedule, &set, ready, &result,
+                             trace->data());
+    } else {
+        replayChunk<1>(schedule, &set, ready, &result);
     }
-    return replayImpl<false>(schedule, durations.data(), nullptr);
+    return result;
 }
 
 const char *

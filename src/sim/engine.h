@@ -11,9 +11,9 @@
  * Two execution modes share that semantics:
  *
  *   - runSimulation(): the queue engine.  Works on any TaskGraph,
- *     detects cycles, and serves as the cold path (no captured
- *     template) and as the golden reference the replay modes are
- *     tested bit-identical against.
+ *     detects cycles, times template captures and template-less
+ *     runs, and is the golden reference the replay modes are tested
+ *     bit-identical against.
  *   - replaySimulation() / replayBatch(): schedule replay.  The FIFO
  *     pop order is a pure function of the topology (tasks enter the
  *     queue when their reference count hits zero and leave in
@@ -21,9 +21,10 @@
  *     ReplaySchedule captured once per topology turns every
  *     subsequent run into a single linear pass: no queue, no
  *     reference counting, no per-task stream branch.  replayBatch()
- *     additionally simulates K duration vectors over one shared
- *     schedule in a cache-friendly K-wide pass, the engine side of
- *     batched design-space sweeps.
+ *     simulates K duration vectors over one shared schedule in a
+ *     cache-friendly K-wide pass, the engine side of batched
+ *     design-space sweeps; replaySimulation() is the same loop at
+ *     K = 1, with optional tracing.
  */
 #ifndef VTRAIN_SIM_ENGINE_H
 #define VTRAIN_SIM_ENGINE_H
@@ -156,15 +157,22 @@ void replayBatchInto(const ReplaySchedule &schedule,
                      EngineResult *results, ReplayKernel kernel);
 
 /**
- * Engine-mode counters.  The simulator ticks them as it chooses an
- * execution mode per run; the serve layer aggregates one shared
- * instance across requests and reports it on GET /statz.
+ * Engine-mode counters: how each simulated run was timed.  Every run
+ * is counted exactly once, by queue_runs, replay_runs or
+ * batched_points.  The simulator ticks them as it times runs; the
+ * serve layer aggregates one shared instance across requests and
+ * reports it on GET /statz and /metricsz.
  */
 struct EngineCounters {
-    std::atomic<uint64_t> replay_runs{0};  //!< replaySimulation() runs
-    std::atomic<uint64_t> queue_runs{0};   //!< runSimulation() runs
-    /** Duration vectors actually replayed via replayBatch(): one per
-     *  distinct core and simulated micro-batch count, not per point. */
+    /** Duration vectors replayed alone, by an engine pass over one
+     *  core (e.g. a warm single plan). */
+    std::atomic<uint64_t> replay_runs{0};
+    /** Runs timed by the queue engine: template captures and
+     *  template-less runs. */
+    std::atomic<uint64_t> queue_runs{0};
+    /** Duration vectors replayed alongside at least one other in one
+     *  lockstep pass (replayBatch): one per distinct core and
+     *  simulated micro-batch count, not per point. */
     std::atomic<uint64_t> batched_points{0};
     /** Batched points answered from another point's core (a
      *  batch-size scan's repeats), so never replayed themselves. */

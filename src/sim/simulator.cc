@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <unordered_map>
 
 #include "graph/template.h"
@@ -58,6 +59,26 @@ phaseMetrics()
     return *metrics;
 }
 
+/**
+ * The micro-batch count fast mode simulates exactly: 2p+2 covers
+ * warmup, at least one full steady-state period per stage, and drain
+ * for both pipeline schedules.
+ */
+int
+fastModeCap(const ParallelConfig &parallel)
+{
+    return std::max(2 * parallel.pipeline + 2, 4);
+}
+
+/** @return seconds elapsed since `start` on the steady clock. */
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
 } // namespace
 
 void
@@ -97,59 +118,9 @@ Simulator::Simulator(ClusterSpec cluster, SimOptions options,
 
 Simulator::RunOutcome
 Simulator::runOnce(const ModelConfig &model, const ParallelConfig &parallel,
-                   int n_micro, OperatorToTaskTable &table) const
+                   int n_micro, OperatorToTaskTable &table,
+                   std::shared_ptr<const GraphTemplate> *capture) const
 {
-    ExpandOptions expand_options;
-    expand_options.collapse_operators = options_.collapse_operators;
-    expand_options.perturber = options_.perturber;
-
-    // The template path requires determinism (no perturber) and the
-    // memoized table (the non-memoized ablation deliberately pays for
-    // re-profiling every node, which re-timing would skip).
-    const bool use_templates = templates_ != nullptr &&
-                               options_.memoize_profiles &&
-                               options_.perturber == nullptr;
-
-    RunOutcome outcome;
-    std::shared_ptr<const GraphTemplate> tmpl;
-    uint64_t fingerprint = 0;
-    if (use_templates) {
-        fingerprint = structuralFingerprint(model, parallel, n_micro,
-                                            options_.collapse_operators,
-                                            options_.attention);
-        tmpl = templates_->get(fingerprint);
-        if (tmpl) {
-            // Warm path: durations-only retime + schedule replay, no
-            // graph assembly and no queue.
-            std::vector<double> durations;
-            bool retimed;
-            {
-                util::TraceSpan span("sim.template_retime");
-                util::ScopedLatency timer(
-                    phaseMetrics().template_retime);
-                retimed = tmpl->retimeDurations(table, parallel,
-                                                cluster_, comm_,
-                                                &durations);
-            }
-            if (retimed) {
-                {
-                    util::TraceSpan span("sim.replay");
-                    util::ScopedLatency timer(phaseMetrics().replay);
-                    outcome.engine =
-                        replaySimulation(tmpl->schedule(), durations);
-                }
-                counters_->replay_runs.fetch_add(
-                    1, std::memory_order_relaxed);
-                outcome.num_operators = tmpl->numOperators();
-                outcome.num_tasks = durations.size();
-                outcome.distinct_profiled = table.numEntries();
-                outcome.profiler_calls = table.numProfilerCalls();
-                return outcome;
-            }
-            tmpl = nullptr; // disagreeing table: rebuild from scratch
-        }
-    }
-
     GraphBuilder builder(model, parallel, cluster_, comm_);
     BuildOptions build_options;
     build_options.n_micro_override = n_micro;
@@ -159,22 +130,23 @@ Simulator::runOnce(const ModelConfig &model, const ParallelConfig &parallel,
         util::ScopedLatency timer(phaseMetrics().graph_build);
         ops = builder.build(build_options);
     }
+    ExpandOptions expand_options;
+    expand_options.collapse_operators = options_.collapse_operators;
+    expand_options.perturber = options_.perturber;
     TaskGraph tasks;
     {
         util::TraceSpan span("sim.template_capture");
         util::ScopedLatency timer(phaseMetrics().template_capture);
-        if (use_templates) {
-            templates_->put(fingerprint,
-                            GraphTemplate::capture(
-                                ops, table, expand_options, &tasks));
-        } else {
+        if (capture)
+            *capture =
+                GraphTemplate::capture(ops, table, expand_options, &tasks);
+        else
             tasks = TaskGraph::expand(ops, table, expand_options);
-        }
     }
-    // Cold path (capture or template-less): the queue engine.  The
-    // replay schedule is built lazily on a template's first *reuse* —
-    // a sweep that thrashes the template cache with single-use
-    // topologies must not pay a schedule build per capture.
+    // The replay schedule is built lazily on a template's first
+    // *reuse*: a sweep that thrashes the template cache with
+    // single-use topologies must not pay a schedule build per capture.
+    RunOutcome outcome;
     {
         util::TraceSpan span("sim.queue_run");
         util::ScopedLatency timer(phaseMetrics().queue_run);
@@ -236,6 +208,13 @@ SimulationResult
 Simulator::simulateIteration(const ModelConfig &model,
                              const ParallelConfig &parallel)
 {
+    return simulateIterationBatch(model, {parallel}).front();
+}
+
+SimulationResult
+Simulator::simulateFromScratch(const ModelConfig &model,
+                               const ParallelConfig &parallel) const
+{
     const auto wall_start = std::chrono::steady_clock::now();
     model.validate();
     parallel.validate(model, cluster_);
@@ -245,26 +224,15 @@ Simulator::simulateIteration(const ModelConfig &model,
     OperatorToTaskTable table(profiler, options_.memoize_profiles);
 
     const int n_micro = parallel.numMicroBatches();
-    // Simulating 2p+2 micro-batches covers warmup, at least one full
-    // steady-state period per stage, and drain for both schedules.
-    const int cap = std::max(2 * parallel.pipeline + 2, 4);
-
-    SimulationResult result;
-    if (options_.fast_mode && n_micro > cap + 1) {
-        const RunOutcome base = runOnce(model, parallel, cap, table);
-        const RunOutcome next = runOnce(model, parallel, cap + 1, table);
-        result = assembleResult(model, parallel, base, &next, n_micro,
-                                cap);
-    } else {
-        const RunOutcome run = runOnce(model, parallel, n_micro, table);
-        result =
-            assembleResult(model, parallel, run, nullptr, n_micro, cap);
-    }
-
-    result.sim_wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
+    const int cap = fastModeCap(parallel);
+    const bool fast = options_.fast_mode && n_micro > cap + 1;
+    const RunOutcome base =
+        runOnce(model, parallel, fast ? cap : n_micro, table);
+    const RunOutcome next =
+        fast ? runOnce(model, parallel, cap + 1, table) : RunOutcome{};
+    SimulationResult result = assembleResult(
+        model, parallel, base, fast ? &next : nullptr, n_micro, cap);
+    result.sim_wall_seconds = secondsSince(wall_start);
     return result;
 }
 
@@ -281,7 +249,7 @@ batchGroupKey(const ModelConfig &model, const ParallelConfig &parallel,
         parallel.pipeline <= 0)
         return 0;
     const int n_micro = parallel.numMicroBatches();
-    const int cap = std::max(2 * parallel.pipeline + 2, 4);
+    const int cap = fastModeCap(parallel);
     const bool fast = options.fast_mode && n_micro > cap + 1;
     // Fast-mode points simulate the capped prefix regardless of their
     // own n_micro, so any fast point of a structure groups; exact
@@ -321,19 +289,22 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
     if (n_plans == 0)
         return results;
 
-    // The group must be uniform: one key, shared by every plan.  A
-    // mixed or unbatchable group transparently degrades to the
-    // per-plan path (identical results, no shared work).
+    // Template-less runs (no cache, a perturber, or the non-memoized
+    // ablation) take the golden reference path, one plan at a time.
+    // A mixed group times each plan as a batch of one.
     const uint64_t key =
         batchGroupKey(model, plans[0], cluster_, options_);
-    bool batchable = key != 0 && templates_ != nullptr;
-    for (size_t i = 1; batchable && i < n_plans; ++i)
-        batchable =
-            batchGroupKey(model, plans[i], cluster_, options_) == key;
-    if (!batchable) {
+    if (key == 0 || templates_ == nullptr) {
         for (size_t i = 0; i < n_plans; ++i)
-            results[i] = simulateIteration(model, plans[i]);
+            results[i] = simulateFromScratch(model, plans[i]);
         return results;
+    }
+    for (size_t i = 1; i < n_plans; ++i) {
+        if (batchGroupKey(model, plans[i], cluster_, options_) != key) {
+            for (size_t j = 0; j < n_plans; ++j)
+                results[j] = simulateIteration(model, plans[j]);
+            return results;
+        }
     }
 
     model.validate();
@@ -366,7 +337,7 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
     OperatorToTaskTable table(profiler, options_.memoize_profiles);
 
     const int n_micro0 = plans[0].numMicroBatches();
-    const int cap = std::max(2 * plans[0].pipeline + 2, 4);
+    const int cap = fastModeCap(plans[0]);
     const bool fast = options_.fast_mode && n_micro0 > cap + 1;
     const int n_passes = fast ? 2 : 1;
 
@@ -375,238 +346,177 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
     // 512 * 400k doubles.
     constexpr size_t kCoreChunk = 32;
 
-    // Per core: its fallback flag and its runs at each simulated
-    // micro-batch count.
-    std::vector<char> fell_back(n_cores, 0);
+    // Per core: its runs at each simulated micro-batch count.
     std::vector<RunOutcome> base(n_cores);
     std::vector<RunOutcome> next(fast ? n_cores : 0);
     for (int pass = 0; pass < n_passes; ++pass) {
         const int n_micro = pass == 0 ? (fast ? cap : n_micro0)
                                       : cap + 1;
-        const uint64_t fp = structuralFingerprint(
-            model, plans[0], n_micro, options_.collapse_operators,
-            options_.attention);
-        std::shared_ptr<const GraphTemplate> tmpl =
-            templates_->get(fp);
-        if (!tmpl) {
-            GraphBuilder builder(model, plans[0], cluster_, comm_);
-            BuildOptions build_options;
-            build_options.n_micro_override = n_micro;
-            OpGraph ops;
-            {
-                util::TraceSpan span("sim.graph_build");
-                util::ScopedLatency timer(phaseMetrics().graph_build);
-                ops = builder.build(build_options);
-            }
-            ExpandOptions expand_options;
-            expand_options.collapse_operators =
-                options_.collapse_operators;
-            TaskGraph expanded;
-            util::TraceSpan span("sim.template_capture");
-            util::ScopedLatency timer(
-                phaseMetrics().template_capture);
-            auto captured = GraphTemplate::capture(
-                ops, table, expand_options, &expanded);
-            templates_->put(fp, captured);
-            tmpl = std::move(captured);
-        }
-
         std::vector<RunOutcome> &out = pass == 0 ? base : next;
 
         // Chunked retime -> replay pipeline over the cores, double
         // buffered: while the main thread replays chunk c out of one
         // buffer, the retime pool (when set) produces chunk c+1's
         // durations into the other.  Duration buffers are reused
-        // across chunks (and passes): retimeDurations resizes in
-        // place, so the steady state re-times without allocating.
-        //
-        // Concurrent retimes are safe *after the pass's first retime
-        // has run serially*: every core in the group looks up the
-        // same template descriptors, so that prefill inserts every
-        // table entry and the parallel retimes only take read-only
-        // memoized hits (the table is not thread-safe under
-        // mutation).  Durations are a pure function of the core, so
-        // results — and the table/counter snapshots below — are
-        // bit-identical to the serial loop.
+        // across chunks: retimeDurations resizes in place, so the
+        // steady state re-times without allocating.
         struct ChunkBuf {
-            std::vector<std::vector<double>> sets; // slot-indexed
-            std::vector<size_t> owner;             // core per slot
-            std::vector<char> ok; //!< slot's retime succeeded
+            size_t begin = 0;                     //!< first core
+            std::vector<std::vector<double>> sets; //!< slot-indexed
+            std::vector<std::exception_ptr> errors; //!< per slot
         };
         ChunkBuf bufs[2];
-        bool prefilled = false;
 
-        // Collects a chunk's pending cores, serially runs the pass's
-        // first retime (table prefill), then either launches the
-        // rest on the pool (returns the in-flight job) or runs them
-        // serially (returns null).
+        // Core 0 goes first, serially.  A warm pass retimes it; a cold
+        // pass -- or a retime rejection (a foreign profiler or a
+        // fingerprint collision) -- builds and captures the topology,
+        // overwriting the cache entry, and times core 0 with the
+        // queue engine on the capture's own expansion.  Either way
+        // the table now holds every descriptor of the template, so
+        // the retimes below take only read-only memoized hits and may
+        // run concurrently (the table is not thread-safe under
+        // mutation).  Durations are a pure function of the core, so
+        // results -- and the table snapshots below -- are identical
+        // to a serial loop.
+        const uint64_t fp = structuralFingerprint(
+            model, plans[0], n_micro, options_.collapse_operators,
+            options_.attention);
+        std::shared_ptr<const GraphTemplate> tmpl = templates_->get(fp);
+        bool warm = false;
+        if (tmpl) {
+            util::TraceSpan span("sim.template_retime");
+            util::ScopedLatency timer(phaseMetrics().template_retime);
+            bufs[0].sets.resize(1);
+            warm = tmpl->retimeDurations(table, *cores[0], cluster_,
+                                         comm_, &bufs[0].sets[0]);
+        }
+        if (!warm) {
+            std::shared_ptr<const GraphTemplate> captured;
+            out[0] = runOnce(model, *cores[0], n_micro, table, &captured);
+            templates_->put(fp, captured);
+            tmpl = std::move(captured);
+        }
+
+        // Retimes the chunk of cores starting at `begin` into `buf`,
+        // from slot `filled` on, on the pool (returns the in-flight
+        // job) or serially (returns null).  A throwing retime is
+        // carried to the calling thread as its slot's exception.
         const auto start_chunk =
-            [&](size_t begin, size_t end, ChunkBuf &buf)
-            -> std::shared_ptr<ThreadPool::ForJob> {
-            buf.owner.clear();
-            for (size_t c = begin; c < end; ++c)
-                if (!fell_back[c])
-                    buf.owner.push_back(c);
-            const size_t count = buf.owner.size();
-            buf.ok.assign(count, 0);
-            while (buf.sets.size() < count)
-                buf.sets.emplace_back();
-            if (count == 0)
-                return nullptr;
-
+            [&](size_t begin, size_t filled,
+                ChunkBuf &buf) -> std::shared_ptr<ThreadPool::ForJob> {
+            const size_t count =
+                std::min(begin + kCoreChunk, n_cores) - begin;
+            buf.begin = begin;
+            if (buf.sets.size() < count)
+                buf.sets.resize(count);
+            buf.errors.assign(count, nullptr);
             const auto retime_one = [&buf, &tmpl, &table, &cores,
                                      this](size_t slot) {
                 try {
-                    buf.ok[slot] =
-                        tmpl->retimeDurations(table,
-                                              *cores[buf.owner[slot]],
-                                              cluster_, comm_,
-                                              &buf.sets[slot])
-                            ? 1
-                            : 0;
+                    VTRAIN_CHECK(tmpl->retimeDurations(
+                                     table, *cores[buf.begin + slot],
+                                     cluster_, comm_, &buf.sets[slot]),
+                                 "a group member rejected the template "
+                                 "its first core was timed on");
                 } catch (...) {
-                    // A throwing retime must not escape a pool
-                    // worker; the core's members fall back to their
-                    // own simulateIteration() (which recomputes from
-                    // scratch and surfaces any persistent error on
-                    // the calling thread).
-                    buf.ok[slot] = 0;
+                    buf.errors[slot] = std::current_exception();
                 }
             };
-
             util::TraceSpan span("sim.template_retime");
             util::ScopedLatency timer(phaseMetrics().template_retime);
-            size_t first = 0;
-            if (!prefilled) {
-                retime_one(0);
-                prefilled = true;
-                first = 1;
-                if (!buf.ok[0]) {
-                    // Retime rejection (foreign profiler or
-                    // fingerprint collision) is core-independent
-                    // within a uniform group — every other pending
-                    // core would reject against the same template and
-                    // table — so mark them all fallen back instead of
-                    // running K rejections.  Matches the serial
-                    // loop's end state exactly: each serial rejection
-                    // after the first is a read-only no-op.
-                    for (size_t c = 0; c < n_cores; ++c)
-                        fell_back[c] = 1;
-                    return nullptr;
-                }
-            }
-            if (first >= count)
-                return nullptr;
-            if (retime_pool_ == nullptr) {
-                for (size_t s = first; s < count; ++s)
+            if (retime_pool_ == nullptr || filled >= count) {
+                for (size_t s = filled; s < count; ++s)
                     retime_one(s);
                 return nullptr;
             }
             return retime_pool_->startFor(
-                count - first, /*grain=*/1,
-                [retime_one, first](size_t b, size_t e) {
+                count - filled, /*grain=*/1,
+                [retime_one, filled](size_t b, size_t e) {
                     for (size_t s = b; s < e; ++s)
-                        retime_one(first + s);
+                        retime_one(filled + s);
                 });
         };
+        // Joins the in-flight retime job on every exit, exception
+        // paths included, so no pool worker outlives the buffers it
+        // writes into.
+        struct InflightJob {
+            std::shared_ptr<ThreadPool::ForJob> job;
+            InflightJob() = default;
+            InflightJob(const InflightJob &) = delete;
+            InflightJob &operator=(const InflightJob &) = delete;
+            ~InflightJob()
+            {
+                if (job)
+                    job->finish();
+            }
+        } inflight;
 
+        // The chunk loop times every core the capture did not.
+        const size_t first = warm ? 0 : 1;
         const size_t n_chunks =
-            (n_cores + kCoreChunk - 1) / kCoreChunk;
+            (n_cores - first + kCoreChunk - 1) / kCoreChunk;
         std::vector<const double *> set_ptrs;
-        std::vector<size_t> alive;
         std::vector<EngineResult> engines;
-        std::shared_ptr<ThreadPool::ForJob> job =
-            start_chunk(0, std::min(kCoreChunk, n_cores), bufs[0]);
+        if (n_chunks > 0)
+            inflight.job = start_chunk(first, warm ? 1 : 0, bufs[0]);
         for (size_t c = 0; c < n_chunks; ++c) {
             ChunkBuf &buf = bufs[c % 2];
-            if (job) {
+            if (inflight.job) {
                 util::TraceSpan span("sim.template_retime");
                 util::ScopedLatency timer(
                     phaseMetrics().template_retime);
-                job->finish(); // cooperative: helps run the chunks
-                job = nullptr;
+                inflight.job->finish(); // cooperative: helps run it
+                inflight.job = nullptr;
             }
-            // Compact the chunk's survivors to pointers before
-            // touching the engine, and launch the next chunk's
-            // retimes so they overlap the replay below.
-            set_ptrs.clear();
-            alive.clear();
-            for (size_t s = 0; s < buf.owner.size(); ++s) {
-                if (!buf.ok[s]) {
-                    // Foreign profiler or fingerprint collision:
-                    // this core's members rebuild from scratch below.
-                    fell_back[buf.owner[s]] = 1;
-                    continue;
-                }
-                set_ptrs.push_back(buf.sets[s].data());
-                alive.push_back(buf.owner[s]);
-            }
-            if (c + 1 < n_chunks) {
-                const size_t nb = (c + 1) * kCoreChunk;
-                job = start_chunk(nb,
-                                  std::min(nb + kCoreChunk, n_cores),
-                                  bufs[(c + 1) % 2]);
-            }
-            if (set_ptrs.empty())
-                continue;
-            engines.resize(set_ptrs.size());
+            for (const std::exception_ptr &error : buf.errors)
+                if (error)
+                    std::rethrow_exception(error);
+            // Launch the next chunk's retimes so they overlap the
+            // replay below.
+            const size_t count = buf.errors.size();
+            if (c + 1 < n_chunks)
+                inflight.job =
+                    start_chunk(buf.begin + count, 0, bufs[(c + 1) % 2]);
+            set_ptrs.resize(count);
+            for (size_t s = 0; s < count; ++s)
+                set_ptrs[s] = buf.sets[s].data();
+            engines.resize(count);
             {
                 util::TraceSpan span("sim.replay");
                 util::ScopedLatency timer(phaseMetrics().replay);
-                replayBatchInto(tmpl->schedule(), set_ptrs.data(),
-                                set_ptrs.size(), engines.data(),
-                                activeReplayKernel());
+                replayBatchInto(tmpl->schedule(), set_ptrs.data(), count,
+                                engines.data(), activeReplayKernel());
             }
-            counters_->batched_points.fetch_add(
-                set_ptrs.size(), std::memory_order_relaxed);
-            for (size_t s = 0; s < alive.size(); ++s)
-                out[alive[s]].engine = std::move(engines[s]);
+            (count == 1 ? counters_->replay_runs
+                        : counters_->batched_points)
+                .fetch_add(count, std::memory_order_relaxed);
+            for (size_t s = 0; s < count; ++s)
+                out[buf.begin + s].engine = std::move(engines[s]);
         }
 
-        // Table statistics snapshot, taken where the per-plan path
-        // takes it: after this pass's (re)timing work.
-        for (size_t c = 0; c < n_cores; ++c) {
-            if (fell_back[c])
-                continue;
-            out[c].num_operators = tmpl->numOperators();
-            out[c].num_tasks = tmpl->numTasks();
-            out[c].distinct_profiled = table.numEntries();
-            out[c].profiler_calls = table.numProfilerCalls();
+        // Table statistics snapshot, taken after this pass's
+        // (re)timing work, as the template-less path takes it.
+        for (RunOutcome &run : out) {
+            run.num_operators = tmpl->numOperators();
+            run.num_tasks = tmpl->numTasks();
+            run.distinct_profiled = table.numEntries();
+            run.profiler_calls = table.numProfilerCalls();
         }
     }
 
-    // The batched points share one wall clock; snapshot it before the
-    // fallback loop (whose plans measure their own simulations) and
-    // report the amortized per-point cost so numbers stay comparable
-    // across entry points.
-    const double batched_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      wall_start)
-            .count();
-
-    size_t batched = 0;
+    // The points share one wall clock: report the amortized per-point
+    // cost so numbers stay comparable across entry points.
+    const double amortized =
+        secondsSince(wall_start) / static_cast<double>(n_plans);
     for (size_t j = 0; j < n_plans; ++j) {
         const size_t c = core_of[j];
-        if (fell_back[c]) {
-            results[j] = simulateIteration(model, plans[j]);
-            continue;
-        }
         results[j] = assembleResult(model, plans[j], base[c],
                                     fast ? &next[c] : nullptr,
                                     plans[j].numMicroBatches(), cap);
-        ++batched;
+        results[j].sim_wall_seconds = amortized;
     }
-    if (batched > 0) {
-        const size_t simulated_cores = static_cast<size_t>(
-            std::count(fell_back.begin(), fell_back.end(), 0));
-        counters_->core_merges.fetch_add(batched - simulated_cores,
-                                         std::memory_order_relaxed);
-        const double amortized =
-            batched_wall / static_cast<double>(batched);
-        for (size_t j = 0; j < n_plans; ++j)
-            if (!fell_back[core_of[j]])
-                results[j].sim_wall_seconds = amortized;
-    }
+    counters_->core_merges.fetch_add(n_plans - n_cores,
+                                     std::memory_order_relaxed);
     return results;
 }
 

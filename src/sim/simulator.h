@@ -29,13 +29,17 @@
  * instances (the serve layer passes one cache to every request) and
  * is skipped for perturbed or non-memoized (ablation) runs.
  *
- * Schedule replay: on a template hit the engine also skips its ready
- * queue — the template's execution order (built lazily on first
- * reuse) turns each run into one linear pass (sim/engine.h), and
- * structurally identical sweep points batch through
- * simulateIterationBatch(), which times K distinct cores in lockstep
- * over one shared schedule.  The queue engine stays as the cold path (first
- * build *and* capture) and the golden reference.
+ * One timing path: simulateIteration() is simulateIterationBatch() on
+ * a group of one.  Per simulated micro-batch count, the pipeline
+ * fetches the template once; on a miss (or a retime rejection) it
+ * captures one, and the queue engine times the first core on the
+ * capture's own expansion.  Every other core is re-timed and replayed
+ * along the template's execution order (built lazily on first reuse),
+ * which turns each run into one linear pass (sim/engine.h); distinct
+ * cores replay in lockstep over the shared schedule.  Template-less
+ * runs -- a null cache, a perturber, or the non-memoized ablation --
+ * build, expand and run the queue engine per plan: that path is the
+ * golden reference the template path is tested bit-identical against.
  */
 #ifndef VTRAIN_SIM_SIMULATOR_H
 #define VTRAIN_SIM_SIMULATOR_H
@@ -75,6 +79,7 @@ struct SimOptions {
 };
 
 class Hash64;
+class GraphTemplate;
 class GraphTemplateCache;
 class OperatorToTaskTable;
 class ThreadPool;
@@ -120,7 +125,8 @@ class Simulator
               std::shared_ptr<GraphTemplateCache> templates,
               std::shared_ptr<EngineCounters> counters = nullptr);
 
-    /** Predicts the single-iteration training time of a plan. */
+    /** Predicts the single-iteration training time of a plan: a
+     *  simulateIterationBatch() of one. */
     SimulationResult simulateIteration(const ModelConfig &model,
                                        const ParallelConfig &parallel);
 
@@ -128,23 +134,26 @@ class Simulator
      * Evaluates a structurally uniform group of plans in one batched
      * pass.  The plans are first merged into distinct cores
      * (batchCore(): the plan without its global batch size).  The
-     * task-graph topology is captured (or fetched) once per simulated
-     * micro-batch count, each core contributes one re-timed duration
-     * vector per count, and the engine simulates all cores in
+     * task-graph topology is fetched (or captured, its expansion
+     * timing the first core on the queue engine) once per simulated
+     * micro-batch count, every other core contributes one re-timed
+     * duration vector per count, and the engine simulates them in
      * lockstep over the shared schedule (engine.h replayBatch).  Every
      * plan's result is then assembled from its core's runs, so a
      * K-point group costs one template fetch, one retime and replay
      * per distinct core, and K cheap assemblies.  One shared lookup
      * table profiles each distinct operator once for the whole group.
      *
-     * Results are identical (modulo sim_wall_seconds) to calling
-     * simulateIteration() per plan.  Plans must share this
-     * simulator's cluster and options; when the group is not
-     * batchable — mixed batchGroupKey()s, templates disabled, a
-     * perturber, the non-memoized ablation, or a retime rejection —
-     * the affected plans transparently fall back to the per-plan
-     * path.  EngineCounters::core_merges counts the points answered
-     * from another point's core.
+     * Results are identical (modulo sim_wall_seconds, which is the
+     * group's wall time split evenly) to calling simulateIteration()
+     * per plan and to the template-less path.  Plans must share this
+     * simulator's cluster and options.  Mixed batchGroupKey()s time
+     * each plan as a group of one; templates disabled, a perturber or
+     * the non-memoized ablation take the template-less path per plan.
+     * A retime rejection re-captures the template in place.  A retime
+     * that throws on a pool worker is rethrown on the calling thread.
+     * EngineCounters::core_merges counts the points answered from
+     * another point's core.
      */
     std::vector<SimulationResult>
     simulateIterationBatch(const ModelConfig &model,
@@ -202,17 +211,26 @@ class Simulator
     };
 
     /**
-     * Builds (or re-times) and simulates one iteration with n_micro
-     * micro-batches.  The lookup table is owned by the caller so fast
-     * mode's two capped runs profile each distinct operator once.
+     * Builds, expands and times one iteration with n_micro
+     * micro-batches on the queue engine.  When `capture` is non-null
+     * the expansion is also captured into `*capture`.  The lookup
+     * table is owned by the caller so fast mode's two capped runs
+     * profile each distinct operator once.
      */
     RunOutcome runOnce(const ModelConfig &model,
                        const ParallelConfig &parallel, int n_micro,
-                       OperatorToTaskTable &table) const;
+                       OperatorToTaskTable &table,
+                       std::shared_ptr<const GraphTemplate> *capture =
+                           nullptr) const;
+
+    /** The template-less per-plan path (see file comment). */
+    SimulationResult simulateFromScratch(const ModelConfig &model,
+                                         const ParallelConfig &parallel)
+        const;
 
     /**
-     * The shared post-processing of simulateIteration() and the
-     * batched path: extrapolates fast mode's affine tail when `next`
+     * The shared post-processing of the template-less and batched
+     * paths: extrapolates fast mode's affine tail when `next`
      * is non-null, then fills utilization and the projection fields.
      * Never touches sim_wall_seconds.
      */

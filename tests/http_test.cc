@@ -222,8 +222,8 @@ TEST(HttpFrontendTest, StatzExposesEngineCounters)
     ASSERT_EQ(response.status, 200) << response.body;
 
     // Two fast-mode points that differ only in batch size: the batch
-    // handler routes them through one batched replay of their shared
-    // core.
+    // handler times their shared core once per capped micro-batch
+    // count.
     json::Value requests = json::Value::array();
     requests.push(toJsonValue(requestVariant(1)));
     requests.push(toJsonValue(requestVariant(2)));
@@ -253,12 +253,13 @@ TEST(HttpFrontendTest, StatzExposesEngineCounters)
         EXPECT_GE(engine->find(key)->asInt64(), 0) << key;
     }
     // The first evaluate captured its template cold (queue engine);
-    // the batch simulated its one core x 2 micro-batch counts in
-    // batched passes and answered its second point from that core;
-    // the last evaluate re-timed the batch's templates via two
-    // schedule replays.
-    EXPECT_EQ(engine->find("queue_runs")->asInt64(), 1);
-    EXPECT_EQ(engine->find("batched_points")->asInt64(), 2);
+    // the batch captured its two capped micro-batch counts cold too,
+    // timing its one core on the captures' expansions (no other core
+    // shares a replay pass), and answered its second point from that
+    // core; the last evaluate re-timed the batch's templates via two
+    // single-core replays.
+    EXPECT_EQ(engine->find("queue_runs")->asInt64(), 3);
+    EXPECT_EQ(engine->find("batched_points")->asInt64(), 0);
     EXPECT_EQ(engine->find("core_merges")->asInt64(), 1);
     EXPECT_EQ(engine->find("replay_runs")->asInt64(), 2);
 
@@ -270,9 +271,9 @@ TEST(HttpFrontendTest, StatzExposesEngineCounters)
               std::string::npos)
         << text;
     for (const char *series :
-         {"vtrain_sim_engine_events_total{counter=\"queue_runs\"} 1\n",
+         {"vtrain_sim_engine_events_total{counter=\"queue_runs\"} 3\n",
           "vtrain_sim_engine_events_total{counter=\"replay_runs\"} 2\n",
-          "vtrain_sim_engine_events_total{counter=\"batched_points\"} 2\n",
+          "vtrain_sim_engine_events_total{counter=\"batched_points\"} 0\n",
           "vtrain_sim_engine_events_total{counter=\"core_merges\"} 1\n"})
         EXPECT_NE(text.find(series), std::string::npos) << series;
 }

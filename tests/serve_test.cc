@@ -424,9 +424,8 @@ TEST(ServeService, BatchRoutesStructuralGroupsThroughBatchedReplay)
     // Four real-simulator requests that differ only in global batch
     // size (fast mode simulates the same capped prefix) form one
     // structural group with one core: one template fetch per
-    // micro-batch count plus one batched engine pass over the single
-    // core, with per-request results identical to the per-request
-    // entry point.
+    // micro-batch count, each timing the single core once, with
+    // per-request results identical to the per-request entry point.
     SimService service;
     std::vector<SimRequest> requests;
     for (int i = 1; i <= 4; ++i)
@@ -438,11 +437,13 @@ TEST(ServeService, BatchRoutesStructuralGroupsThroughBatchedReplay)
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.requests, 4u);
     EXPECT_EQ(stats.computed, 4u);
-    // 1 core x fast mode's two simulated micro-batch counts; the
-    // other three points are answered from that core.
-    EXPECT_EQ(stats.engine.batched_points, 2u);
+    // 1 core x fast mode's two simulated micro-batch counts, both
+    // captured cold, so the queue engine times the core on each
+    // capture's expansion; the other three points are answered from
+    // that core.
+    EXPECT_EQ(stats.engine.batched_points, 0u);
     EXPECT_EQ(stats.engine.core_merges, 3u);
-    EXPECT_EQ(stats.engine.queue_runs, 0u);
+    EXPECT_EQ(stats.engine.queue_runs, 2u);
 
     SimService individual;
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -480,9 +481,11 @@ TEST(ServeService, LargeScanGroupRunsAsOneUnitPerCore)
         service.evaluateBatch(requests);
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.computed, 72u);
-    EXPECT_EQ(stats.engine.batched_points, 2u * 3u);
+    // Per capped micro-batch count (both cold): the capture's queue
+    // run times the first core, one batched pass the other two.
+    EXPECT_EQ(stats.engine.batched_points, 2u * 2u);
     EXPECT_EQ(stats.engine.core_merges, 72u - 3u);
-    EXPECT_EQ(stats.engine.queue_runs, 0u);
+    EXPECT_EQ(stats.engine.queue_runs, 2u);
 
     ASSERT_EQ(results.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -559,6 +562,60 @@ TEST(ServeService, PerturbedRequestsBypassTheCache)
     (void)service.evaluate(request);
     EXPECT_EQ(computed.load(), 2);
     EXPECT_EQ(service.cache().size(), 0u);
+}
+
+TEST(ServeService, PooledBatchShedsExpiredPerturbedRequests)
+{
+    // A perturbed (non-cacheable) batch request that reaches the pool
+    // only after its deadline must be shed with DeadlineExceeded, as
+    // the inline batch sheds it, never computed.
+    struct IdentityPerturber : Perturber {
+        double perturbCompute(double d, const OpNode &) const override
+        {
+            return d;
+        }
+        double perturbComm(double d, const OpNode &) const override
+        {
+            return d;
+        }
+    } perturber;
+    std::atomic<int> perturbed_calls{0};
+    std::promise<void> started;
+    std::promise<void> gate;
+    std::shared_future<void> gate_open = gate.get_future().share();
+    SimService::Options options;
+    options.n_threads = 1;
+    options.evaluator = [&perturbed_calls, &started,
+                         gate_open](const SimRequest &request) {
+        if (request.options.perturber != nullptr) {
+            perturbed_calls.fetch_add(1, std::memory_order_relaxed);
+            return resultWithTime(1.0);
+        }
+        started.set_value();
+        gate_open.wait(); // hold the only worker busy
+        return syntheticResult(request);
+    };
+    SimService service(std::move(options));
+
+    auto busy = service.evaluateAsync(tinyRequest());
+    started.get_future().wait();
+
+    SimRequest perturbed = tinyRequest();
+    perturbed.options.perturber = &perturber;
+    const uint64_t deadline_ns =
+        util::monotonicNanos() + 200u * 1000u * 1000u; // 200 ms
+    // Free the worker only once the deadline has passed, so the
+    // queued request starts late.
+    std::thread release([&gate, deadline_ns] {
+        while (util::monotonicNanos() < deadline_ns)
+            std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        gate.set_value();
+    });
+    EXPECT_THROW((void)service.evaluateBatch({perturbed}, deadline_ns),
+                 DeadlineExceeded);
+    release.join();
+    EXPECT_EQ(perturbed_calls.load(), 0);
+    (void)busy.get();
 }
 
 TEST(ServeService, ThrowingEvaluatorDoesNotPoisonTheFingerprint)

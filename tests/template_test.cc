@@ -302,14 +302,18 @@ TEST(TemplateGolden, BatchSizeScanMatchesPerPlanAndQueuePaths)
             for (size_t m = 0; m < members.size(); ++m)
                 results[members[m]] = got[m];
         }
-        // Each exact group replays its 3 cores once; the fast group
-        // replays its 3 cores at both capped counts and answers its
-        // other 19 members from them.
+        // Six passes of 3 cores: each exact group times its cores
+        // once, the fast group at both capped counts (6 and 7, which
+        // two exact groups share) and answers its other 19 members
+        // from them.  Four distinct topologies means four cold
+        // passes, whose capture times the first core on the queue
+        // engine and replays the other two; the two warm passes
+        // replay all three.
         const EngineCounters &counters = *sim.engineCounters();
-        EXPECT_EQ(counters.batched_points.load(), 4u * 3u + 3u * 2u);
+        EXPECT_EQ(counters.batched_points.load(), 4u * 2u + 2u * 3u);
         EXPECT_EQ(counters.core_merges.load(), 19u);
-        EXPECT_EQ(counters.queue_runs.load(), 0u)
-            << "captures feed the batched replay, not the queue";
+        EXPECT_EQ(counters.queue_runs.load(), 4u)
+            << "one queue run per capture";
         return results;
     };
     const std::vector<SimulationResult> serial = batched(nullptr);
@@ -383,8 +387,9 @@ TEST(TemplateGolden, BatchedReplayExactModeAndMixedGroupFallBack)
 
 TEST(TemplateGolden, BatchedReplayTracksEngineCounters)
 {
-    // The uniform batch goes through batched_points; the mixed one
-    // degrades to per-plan replay runs; nothing here touches the
+    // A cold two-core batch: per capped micro-batch count, the
+    // capture's queue run times the first core and the second replays
+    // alone (a replay run).  The template-less path stays on the
     // queue engine.
     const ModelConfig model = tinyModel();
     const ClusterSpec cluster = makeCluster(64);
@@ -402,8 +407,9 @@ TEST(TemplateGolden, BatchedReplayTracksEngineCounters)
     (void)sim.simulateIterationBatch(model, {a, b});
     const auto &counters = *sim.engineCounters();
     // Fast mode: two simulated micro-batch counts x two plans.
-    EXPECT_EQ(counters.batched_points.load(), 4u);
-    EXPECT_EQ(counters.queue_runs.load(), 0u);
+    EXPECT_EQ(counters.batched_points.load(), 0u);
+    EXPECT_EQ(counters.queue_runs.load(), 2u);
+    EXPECT_EQ(counters.replay_runs.load(), 2u);
 
     Simulator scratch(cluster, SimOptions{}, nullptr);
     (void)scratch.simulateIteration(model, a);
