@@ -1,9 +1,13 @@
 /**
  * @file
  * Unit tests for task-graph expansion: kernel-count bookkeeping,
- * collapse-mode equivalence and perturbation hooks.
+ * collapse-mode equivalence, perturbation hooks, and the queue
+ * engine's results against an independent op-order reference
+ * expansion.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "comm/comm_model.h"
 #include "graph/builder.h"
@@ -189,6 +193,142 @@ TEST(TaskGraphExpand, CommOnlyPerturbationOnlyTouchesComm)
         r_infl.time_by_tag[static_cast<size_t>(TaskTag::Compute)],
         r_base.time_by_tag[static_cast<size_t>(TaskTag::Compute)],
         1e-12);
+}
+
+/** The expansion's tag policy, restated for the reference below. */
+TaskTag
+referenceTag(const OpNode &node)
+{
+    if (node.type == OpNodeType::Compute)
+        return TaskTag::Compute;
+    switch (node.comm_kind) {
+      case CommKind::TpAllReduce:
+        return TaskTag::TpAllReduce;
+      case CommKind::PipeSendRecv:
+        return TaskTag::PipeSendRecv;
+      default:
+        return TaskTag::DpAllReduce;
+    }
+}
+
+/**
+ * An independent, op-order expansion built with TaskGraph::Builder:
+ * operator i's kernels are contiguous, chained in kernel order, and
+ * an operator edge (a -> b) joins a's last kernel to b's first.  It
+ * shares no code with TaskGraph::expand, so it stays a golden
+ * reference for the engine's results whatever numbering expand emits.
+ */
+TaskGraph
+opOrderReference(const OpGraph &ops, OperatorToTaskTable &table,
+                 bool collapse)
+{
+    const auto &nodes = ops.nodes();
+    TaskGraph::Builder builder;
+    std::vector<int32_t> first(nodes.size()), last(nodes.size());
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        const OpNode &node = nodes[i];
+        const TaskTag tag = referenceTag(node);
+        std::vector<double> durations;
+        if (node.type == OpNodeType::Comm) {
+            durations.push_back(node.comm_latency);
+        } else {
+            const KernelSequence &seq = table.lookup(ops.descOf(node));
+            double total = 0.0;
+            for (const Kernel &k : seq.kernels) {
+                total += k.duration;
+                if (!collapse)
+                    durations.push_back(k.duration);
+            }
+            if (collapse)
+                durations.push_back(total);
+        }
+        for (size_t k = 0; k < durations.size(); ++k) {
+            const int32_t id = builder.addTask(durations[k], node.device,
+                                               node.stream, tag);
+            if (k == 0)
+                first[i] = id;
+            else
+                builder.addEdge(id - 1, id);
+            last[i] = id;
+        }
+    }
+    for (size_t i = 0; i < nodes.size(); ++i) {
+        const auto u = static_cast<OpGraph::NodeId>(i);
+        for (const OpGraph::NodeId *c = ops.childBegin(u);
+             c != ops.childEnd(u); ++c)
+            builder.addEdge(last[i], first[*c]);
+    }
+    return std::move(builder).build(ops.numDevices());
+}
+
+struct ReferenceCase {
+    const char *name;
+    int t, d, p;
+    PipelineSchedule schedule = PipelineSchedule::OneFOneB;
+    int zero_stage = 0;
+    bool bucketing = true;
+    bool recompute = true;
+    AttentionImpl attention = AttentionImpl::Megatron;
+};
+
+TEST(TaskGraphExpand, ExecutionOrderMatchesOpOrderReference)
+{
+    const ModelConfig model = tinyModel();
+    const ClusterSpec cluster = makeCluster(64);
+    const CommModel comm(cluster);
+    const ReferenceCase cases[] = {
+        {"1f1b", 2, 2, 2},
+        {"gpipe", 2, 2, 2, PipelineSchedule::GPipe},
+        {"deep-gpipe", 1, 2, 4, PipelineSchedule::GPipe},
+        {"zero", 1, 4, 2, PipelineSchedule::OneFOneB, /*zero=*/1},
+        {"no-bucketing", 2, 2, 2, PipelineSchedule::OneFOneB, 0, false},
+        {"no-recompute", 2, 2, 2, PipelineSchedule::OneFOneB, 0, true,
+         false},
+        {"flash", 2, 1, 2, PipelineSchedule::OneFOneB, 0, true, true,
+         AttentionImpl::FlashAttention},
+    };
+    for (const ReferenceCase &c : cases) {
+        ParallelConfig plan;
+        plan.tensor = c.t;
+        plan.data = c.d;
+        plan.pipeline = c.p;
+        plan.micro_batch_size = 1;
+        plan.global_batch_size = 64 * c.d;
+        plan.schedule = c.schedule;
+        plan.zero_stage = c.zero_stage;
+        plan.gradient_bucketing = c.bucketing;
+        plan.activation_recompute = c.recompute;
+        SyntheticProfiler profiler(cluster.node.gpu, plan.precision,
+                                   c.attention);
+        OperatorToTaskTable table(profiler);
+        // Fast mode's two capped micro-batch counts.
+        const int cap = std::max(2 * c.p + 2, 4);
+        for (const int n_micro : {cap, cap + 1}) {
+            BuildOptions build;
+            build.n_micro_override = n_micro;
+            const OpGraph ops =
+                GraphBuilder(model, plan, cluster, comm).build(build);
+            for (const bool collapse : {false, true}) {
+                SCOPED_TRACE(::testing::Message()
+                             << c.name << " n_micro=" << n_micro
+                             << " collapse=" << collapse);
+                ExpandOptions options;
+                options.collapse_operators = collapse;
+                const TaskGraph tasks =
+                    TaskGraph::expand(ops, table, options);
+                const TaskGraph reference =
+                    opOrderReference(ops, table, collapse);
+                ASSERT_EQ(tasks.numTasks(), reference.numTasks());
+                ASSERT_EQ(tasks.numEdges(), reference.numEdges());
+                const EngineResult want = runSimulation(reference);
+                const EngineResult got = runSimulation(tasks);
+                EXPECT_EQ(got.makespan, want.makespan);
+                EXPECT_EQ(got.time_by_tag, want.time_by_tag);
+                EXPECT_EQ(got.busy_compute, want.busy_compute);
+                EXPECT_EQ(got.busy_comm, want.busy_comm);
+            }
+        }
+    }
 }
 
 TEST(TaskGraphBuilder, BuildsChain)
