@@ -158,6 +158,37 @@ TEST(TestbedPerturber, StragglerGrowsWithWorkers)
     EXPECT_GT(many, few);
 }
 
+TEST(Testbed, MeasurementsPinnedAcrossExpansionOrder)
+{
+    // The surrogate's perturber draws one RNG value per (operator,
+    // kernel) in operator order, so its measurements pin that draw
+    // order independently of how expansion numbers the tasks.  The
+    // values are exact (hexfloat): any reordering of the draws, or of
+    // the engine's floating-point accumulations, moves them.
+    TestbedSimulator testbed(makeCluster(16));
+    const auto model = tinyModel();
+    ParallelConfig gpipe = plan(1, 2, 4, 1, 64);
+    gpipe.schedule = PipelineSchedule::GPipe;
+    ParallelConfig zero = plan(1, 4, 2, 1, 64);
+    zero.zero_stage = 1;
+    zero.gradient_bucketing = false;
+    const struct {
+        ParallelConfig plan;
+        double seconds;
+    } pins[] = {
+        {plan(2, 2, 2, 1, 16), 0x1.50969a010cfc6p-5},
+        {gpipe, 0x1.48810d4b1e76cp-4},
+        {plan(4, 1, 2, 2, 64), 0x1.61be1183e0adcp-3},
+        {zero, 0x1.2e27cffb39369p-4},
+    };
+    for (const auto &pin : pins)
+        EXPECT_EQ(testbed.measureIteration(model, pin.plan)
+                      .iteration_seconds,
+                  pin.seconds)
+            << toString(pin.plan.schedule) << " t" << pin.plan.tensor
+            << " d" << pin.plan.data << " p" << pin.plan.pipeline;
+}
+
 TEST(Testbed, MeasurementSeedDistinguishesPlans)
 {
     const auto model = tinyModel();
