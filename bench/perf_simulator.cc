@@ -212,7 +212,7 @@ BM_BatchedReplay(benchmark::State &state)
     // batched-sweep engine cost, compared against simulating the
     // same points one at a time.  Arg:
     //   0 = sequential queue engine (retime + runSimulation), the
-    //       warm path before schedule replay existed;
+    //       warm path before replay existed;
     //   1 = sequential schedule replay (retimeDurations +
     //       replaySimulation), the warm path per request;
     //   2 = batched replay (retimeDurations per point + one K-wide
@@ -232,7 +232,7 @@ BM_BatchedReplay(benchmark::State &state)
     TaskGraph expanded;
     const auto tmpl =
         GraphTemplate::capture(ops, table, ExpandOptions{}, &expanded);
-    const ReplaySchedule &schedule = tmpl->schedule(); // build once
+    const TaskGraph::Topology &topology = tmpl->topology();
 
     const int mode = static_cast<int>(state.range(0));
     // Reused across iterations, exactly like the simulator's batched
@@ -247,7 +247,7 @@ BM_BatchedReplay(benchmark::State &state)
                 ok = tmpl->retimeDurations(table, plan, cluster, comm,
                                            &sets[k]);
             if (ok)
-                for (const EngineResult &r : replayBatch(schedule, sets))
+                for (const EngineResult &r : replayBatch(topology, sets))
                     checksum += r.makespan;
         } else if (mode == 1) {
             std::vector<double> durations;
@@ -256,7 +256,7 @@ BM_BatchedReplay(benchmark::State &state)
                                            &durations);
                 if (ok)
                     checksum +=
-                        replaySimulation(schedule, durations).makespan;
+                        replaySimulation(topology, durations).makespan;
             }
         } else {
             for (int k = 0; ok && k < kPoints; ++k) {
@@ -317,7 +317,7 @@ BM_ReplayKernel(benchmark::State &state)
     TaskGraph expanded;
     const auto tmpl =
         GraphTemplate::capture(ops, table, ExpandOptions{}, &expanded);
-    const ReplaySchedule &schedule = tmpl->schedule(); // build once
+    const TaskGraph::Topology &topology = tmpl->topology();
 
     std::vector<std::vector<double>> sets(k_points);
     std::vector<const double *> set_ptrs(k_points);
@@ -334,7 +334,7 @@ BM_ReplayKernel(benchmark::State &state)
     }
     std::vector<EngineResult> results(k_points);
     for (auto _ : state) {
-        replayBatchInto(schedule, set_ptrs.data(), k_points,
+        replayBatchInto(topology, set_ptrs.data(), k_points,
                         results.data(), kernel);
         benchmark::DoNotOptimize(results.data());
     }

@@ -46,8 +46,10 @@ render(PipelineSchedule schedule, int p, int n_micro)
     SyntheticProfiler profiler(cluster.node.gpu);
     OperatorToTaskTable table(profiler);
     ExpandOptions expand;
-    expand.collapse_operators = true; // task i <-> operator i
-    const TaskGraph tasks = TaskGraph::expand(ops, table, expand);
+    expand.collapse_operators = true; // one task per operator
+    std::vector<int32_t> op_task; // operator -> its task's id
+    const TaskGraph tasks =
+        TaskGraph::expand(ops, table, expand, nullptr, &op_task);
 
     std::vector<TaskSpan> trace;
     const EngineResult result = runSimulation(tasks, &trace);
@@ -66,8 +68,9 @@ render(PipelineSchedule schedule, int p, int n_micro)
             isBackward(desc.kind)
                 ? static_cast<char>('a' + node.micro_batch % 26)
                 : static_cast<char>('1' + node.micro_batch % 9);
-        const int lo = static_cast<int>(trace[i].start * scale);
-        const int hi = static_cast<int>(trace[i].end * scale);
+        const TaskSpan &span = trace[op_task[i]];
+        const int lo = static_cast<int>(span.start * scale);
+        const int hi = static_cast<int>(span.end * scale);
         for (int x = lo; x <= hi && x < width; ++x)
             rows[node.device][x] = mark;
     }

@@ -25,6 +25,23 @@ tagOf(const OpNode &node)
     VTRAIN_PANIC("unknown comm kind");
 }
 
+/**
+ * @return the index of `node`'s (kind, payload) in `sites`, appending
+ * it if new.  Sites are few (every TP All-Reduce shares one payload),
+ * so a linear scan from the most recent wins.
+ */
+int32_t
+commSite(std::vector<TaskGraph::Provenance::CommSite> &sites,
+         const OpNode &node)
+{
+    for (size_t site = sites.size(); site > 0; --site)
+        if (sites[site - 1].kind == node.comm_kind &&
+            sites[site - 1].bytes == node.comm_bytes)
+            return static_cast<int32_t>(site - 1);
+    sites.push_back({node.comm_kind, node.comm_bytes});
+    return static_cast<int32_t>(sites.size() - 1);
+}
+
 } // namespace
 
 const std::shared_ptr<const TaskGraph::Topology> &
@@ -83,7 +100,8 @@ TaskGraph::fromParts(std::vector<double> durations,
 
 TaskGraph
 TaskGraph::expand(const OpGraph &ops, OperatorToTaskTable &table,
-                  const ExpandOptions &options, Provenance *provenance)
+                  const ExpandOptions &options, Provenance *provenance,
+                  std::vector<int32_t> *op_first_task)
 {
     VTRAIN_CHECK(ops.finalized(),
                  "expand requires a finalized operator graph");
@@ -91,6 +109,7 @@ TaskGraph::expand(const OpGraph &ops, OperatorToTaskTable &table,
     const auto &nodes = ops.nodes();
     const size_t n_ops = nodes.size();
     const auto &descs = ops.descs();
+    const bool collapse = options.collapse_operators;
 
     // Hoist the per-operator table lookups out of the expansion
     // loops: a memoized table returns one stable sequence per
@@ -110,119 +129,192 @@ TaskGraph::expand(const OpGraph &ops, OperatorToTaskTable &table,
                      : table.lookup(ops.descOf(node));
     };
 
-    // Pass 1: per-op task counts and total size.
-    std::vector<int32_t> first_task(n_ops + 1, 0);
-    for (size_t i = 0; i < n_ops; ++i) {
-        int32_t count = 1;
-        if (nodes[i].type == OpNodeType::Compute &&
-            !options.collapse_operators) {
-            count =
-                static_cast<int32_t>(seq_for(nodes[i]).kernels.size());
+    // Per-desc arena offsets: descriptor d's kernels (or, collapsed,
+    // its one summed duration) start at desc_off[d].  The provenance
+    // slots index this layout, and the unperturbed memoized expansion
+    // reads its compute durations from it.
+    std::vector<int32_t> desc_kernels(descs.size(), 0);
+    std::vector<int32_t> desc_off(descs.size() + 1, 0);
+    if (hoist || provenance) {
+        for (size_t d = 0; d < descs.size(); ++d) {
+            desc_kernels[d] = static_cast<int32_t>(
+                (hoist ? *seq_of_desc[d] : table.lookup(descs[d]))
+                    .kernels.size());
+            desc_off[d + 1] = desc_off[d] + (collapse ? 1 : desc_kernels[d]);
         }
-        first_task[i + 1] = first_task[i] + count;
     }
-    const size_t n_tasks = static_cast<size_t>(first_task[n_ops]);
 
-    auto topo = std::make_shared<Topology>();
-    topo->num_devices = ops.numDevices();
-    topo->meta.resize(n_tasks);
-    std::vector<double> durations(n_tasks);
-
-    // Pass 2: materialize tasks (perturbing per instance).
+    // Pass 1, in operator order: per-op task counts, structural
+    // metadata and duration sources.  Task (op i, kernel k) takes its
+    // duration from values[source + k].  Perturbed or non-memoized
+    // expansions stage every instance here in (op, kernel) order --
+    // the order the perturber's draws and the ablation's lookups are
+    // defined in; the memoized unperturbed path shares one packed run
+    // per descriptor and stages only communication latencies.
+    struct OpInfo {
+        TaskMeta meta;
+        int32_t count = 0;     //!< tasks (kernels) of the op
+        int32_t source = 0;    //!< values index of kernel 0
+        int32_t slot = 0;      //!< provenance slot of kernel 0
+        int32_t in_degree = 0; //!< parent ops (with multiplicity)
+        int32_t ref = 0;       //!< see the walk below
+        int32_t first = -1;    //!< id of the op's first task
+        int32_t pending = -1;  //!< see the walk below
+    };
+    std::vector<OpInfo> info(n_ops);
+    const bool staged = options.perturber != nullptr || !hoist;
+    std::vector<double> values;
+    if (!staged) {
+        // Descriptor runs, then one latency per comm op (at most).
+        values.reserve(static_cast<size_t>(desc_off.back()) + n_ops);
+        values.resize(static_cast<size_t>(desc_off.back()));
+        for (size_t d = 0; d < descs.size(); ++d) {
+            const auto &kernels = seq_of_desc[d]->kernels;
+            double *const out = values.data() + desc_off[d];
+            if (collapse) {
+                double total = 0.0;
+                for (const auto &k : kernels)
+                    total += k.duration;
+                out[0] = total;
+            } else {
+                for (size_t k = 0; k < kernels.size(); ++k)
+                    out[k] = kernels[k].duration;
+            }
+        }
+    }
+    // Provenance slots: descriptor runs, then one per distinct
+    // communication site.
+    std::vector<Provenance::CommSite> *const sites =
+        provenance ? &provenance->comm_sites : nullptr;
+    if (provenance) {
+        provenance->descs = descs;
+        provenance->kernels_per_desc = desc_kernels;
+        sites->clear();
+    }
+    size_t n_tasks = 0;
     for (size_t i = 0; i < n_ops; ++i) {
         const OpNode &node = nodes[i];
-        const TaskTag tag = tagOf(node);
-        const int32_t begin = first_task[i];
-        const int32_t end = first_task[i + 1];
-        const TaskMeta meta{node.device, node.stream, tag};
-
+        OpInfo &op = info[i];
+        op.meta = TaskMeta{node.device, node.stream, tagOf(node)};
         if (node.type == OpNodeType::Comm) {
             double latency = node.comm_latency;
             if (options.perturber)
                 latency = options.perturber->perturbComm(latency, node);
-            durations[begin] = latency;
-            topo->meta[begin] = meta;
-            continue;
-        }
-
-        const KernelSequence &seq = seq_for(node);
-        if (options.collapse_operators) {
+            op.count = 1;
+            op.source = static_cast<int32_t>(values.size());
+            values.push_back(latency);
+            if (sites)
+                op.slot = desc_off.back() + commSite(*sites, node);
+        } else if (!staged) {
+            op.count = desc_off[node.desc_id + 1] - desc_off[node.desc_id];
+            op.source = desc_off[node.desc_id];
+        } else {
+            // The ablation's count lookup precedes its duration
+            // lookup, once each per node (its profiler-call total).
+            op.count = collapse ? 1
+                                : static_cast<int32_t>(
+                                      seq_for(node).kernels.size());
+            const KernelSequence &seq = seq_for(node);
+            op.source = static_cast<int32_t>(values.size());
             double total = 0.0;
             for (const auto &k : seq.kernels) {
                 double d = k.duration;
                 if (options.perturber)
                     d = options.perturber->perturbCompute(d, node);
-                total += d;
+                if (collapse)
+                    total += d;
+                else
+                    values.push_back(d);
             }
-            durations[begin] = total;
-            topo->meta[begin] = meta;
-        } else {
-            for (int32_t k = begin; k < end; ++k) {
-                double d = seq.kernels[k - begin].duration;
-                if (options.perturber)
-                    d = options.perturber->perturbCompute(d, node);
-                durations[k] = d;
-                topo->meta[k] = meta;
-            }
+            if (collapse)
+                values.push_back(total);
         }
+        if (node.type == OpNodeType::Compute)
+            op.slot = desc_off[node.desc_id];
+        n_tasks += static_cast<size_t>(op.count);
+        for (const OpGraph::NodeId *c = ops.childBegin(
+                 static_cast<OpGraph::NodeId>(i));
+             c != ops.childEnd(static_cast<OpGraph::NodeId>(i)); ++c)
+            ++info[*c].in_degree;
     }
 
-    // Pass 3: edges.  Within an operator, kernels form a chain; an
-    // operator edge (a -> b) becomes last-task(a) -> first-task(b).
-    const size_t n_edges = n_tasks - n_ops + ops.numEdges();
-    std::vector<int32_t> out_degree(n_tasks, 0);
-    topo->in_degree.assign(n_tasks, 0);
+    auto topo = std::make_shared<Topology>();
+    topo->num_devices = ops.numDevices();
+    topo->meta.resize(n_tasks);
+    topo->in_degree.resize(n_tasks);
+    topo->child_offsets.resize(n_tasks + 1);
+    topo->child_list.resize(n_tasks - n_ops + ops.numEdges());
+    std::vector<double> durations(n_tasks);
+    if (provenance)
+        provenance->slot.resize(n_tasks);
+    TaskMeta *const meta = topo->meta.data();
+    int32_t *const in_degree = topo->in_degree.data();
+    int32_t *const child_offsets = topo->child_offsets.data();
+    int32_t *const child_list = topo->child_list.data();
+    int32_t *const slot = provenance ? provenance->slot.data() : nullptr;
 
-    auto each_edge = [&](auto &&visit) {
-        for (size_t i = 0; i < n_ops; ++i) {
-            for (int32_t k = first_task[i]; k + 1 < first_task[i + 1];
-                 ++k)
-                visit(k, k + 1);
-            const int32_t last = first_task[i + 1] - 1;
-            for (const OpGraph::NodeId *c = ops.childBegin(
-                     static_cast<OpGraph::NodeId>(i));
-                 c != ops.childEnd(static_cast<OpGraph::NodeId>(i)); ++c)
-                visit(last, first_task[*c]);
+    // Pass 2: the queue engine's FIFO walk, durations ignored.  Tasks
+    // are numbered as they are queued, so task id == pop position.
+    // The queue itself lives in in_degree[]: a queued slot holds its
+    // op until popped, when the task's own in-degree replaces it.  An
+    // op's `ref` counts its unfinished parents until it is queued and
+    // its popped kernels from then on (kernels pop in chain order).
+    // An edge to a child op not yet queued is threaded onto that op's
+    // `pending` list (through child_list, -1 ends it) and patched to
+    // the op's first task when the op is queued.
+    for (OpInfo &op : info)
+        op.ref = op.in_degree;
+    int32_t tail = 0;
+    for (size_t i = 0; i < n_ops; ++i) {
+        if (info[i].in_degree == 0) {
+            info[i].first = tail;
+            in_degree[tail++] = static_cast<int32_t>(i);
         }
-    };
-
-    each_edge([&](int32_t from, int32_t to) {
-        ++out_degree[from];
-        ++topo->in_degree[to];
-    });
-
-    topo->child_offsets.assign(n_tasks + 1, 0);
-    for (size_t i = 0; i < n_tasks; ++i)
-        topo->child_offsets[i + 1] = topo->child_offsets[i] + out_degree[i];
-    topo->child_list.resize(n_edges);
-
-    std::vector<int32_t> cursor(topo->child_offsets.begin(),
-                                topo->child_offsets.end() - 1);
-    each_edge([&](int32_t from, int32_t to) {
-        topo->child_list[cursor[from]++] = to;
-    });
-
-    if (provenance) {
-        provenance->first_task = first_task;
-        provenance->ops.resize(n_ops);
-        for (size_t i = 0; i < n_ops; ++i) {
-            auto &src = provenance->ops[i];
-            if (nodes[i].type == OpNodeType::Compute) {
-                src.desc_id = nodes[i].desc_id;
-            } else {
-                src.desc_id = -1;
-                src.comm_kind = nodes[i].comm_kind;
-                src.comm_bytes = nodes[i].comm_bytes;
+    }
+    int32_t edge = 0;
+    child_offsets[0] = 0;
+    for (int32_t u = 0; u < tail; ++u) {
+        const int32_t op_id = in_degree[u];
+        OpInfo &op = info[op_id];
+        const int32_t k = op.ref++;
+        in_degree[u] = k == 0 ? op.in_degree : 1;
+        meta[u] = op.meta;
+        durations[u] = values[op.source + k];
+        if (slot)
+            slot[u] = op.slot + k;
+        if (k + 1 < op.count) {
+            child_list[edge++] = tail;
+            in_degree[tail++] = op_id;
+        } else {
+            for (const OpGraph::NodeId *c = ops.childBegin(op_id),
+                                       *const c_end = ops.childEnd(op_id);
+                 c != c_end; ++c) {
+                OpInfo &child = info[*c];
+                if (--child.ref == 0) {
+                    child.first = tail;
+                    for (int32_t e = child.pending; e >= 0;) {
+                        const int32_t next = child_list[e];
+                        child_list[e] = tail;
+                        e = next;
+                    }
+                    child_list[edge++] = tail;
+                    in_degree[tail++] = *c;
+                } else {
+                    child_list[edge] = child.pending;
+                    child.pending = edge++;
+                }
             }
         }
-        provenance->descs = descs;
-        provenance->kernels_per_desc.resize(descs.size());
-        for (size_t d = 0; d < descs.size(); ++d) {
-            const KernelSequence &seq =
-                hoist ? *seq_of_desc[d] : table.lookup(descs[d]);
-            provenance->kernels_per_desc[d] =
-                static_cast<int32_t>(seq.kernels.size());
-        }
+        child_offsets[u + 1] = edge;
+    }
+    VTRAIN_CHECK(static_cast<size_t>(tail) == n_tasks,
+                 "expansion deadlock: ordered ", tail, " of ", n_tasks,
+                 " tasks (cyclic dependency?)");
+
+    if (op_first_task) {
+        op_first_task->resize(n_ops);
+        for (size_t i = 0; i < n_ops; ++i)
+            (*op_first_task)[i] = info[i].first;
     }
 
     TaskGraph tg;

@@ -8,6 +8,14 @@
  * dependencies; communication operators become single tasks carrying
  * their modelled latency.
  *
+ * Expanded graphs are numbered in execution order: task id i is the
+ * i-th task the engine's FIFO ready queue (sim/engine.h, Algorithm 1)
+ * pops.  The pop order is a pure function of the dependency structure
+ * -- durations cannot reorder a FIFO -- so the topology is its own
+ * replay schedule: every timed run visits tasks 0..n-1 in order, and
+ * a replay (engine.h replaySimulation / replayBatch) streams the
+ * per-task arrays linearly.
+ *
  * Storage is split by volatility: task *durations* (the only values
  * that change when kernels are re-profiled or comm parameters move)
  * live in a per-instance array, while the structural remainder —
@@ -89,7 +97,8 @@ class TaskGraph
      * The immutable structural part of a task graph: per-task
      * metadata plus the CSR dependency arrays.  Shared (never copied)
      * between a graph and the template it was captured into, and
-     * between every re-timed instance of that template.
+     * between every re-timed instance of that template.  Expanded
+     * topologies are in execution order (see file comment).
      */
     struct Topology {
         std::vector<TaskMeta> meta;
@@ -100,30 +109,35 @@ class TaskGraph
     };
 
     /**
-     * Structural provenance recorded during expansion: which operator
-     * (and, transitively, which interned descriptor or communication
-     * payload) produced each task span.  Consumed by GraphTemplate to
-     * re-time the topology without rebuilding it.
+     * Structural provenance recorded during expansion: where each
+     * task's duration comes from.  A per-template duration arena holds
+     * the interned descriptors' kernels first (descriptor d's kernels
+     * contiguous, in descriptor order; one summed slot per descriptor
+     * under collapse_operators), then one slot per distinct
+     * communication site.  slot[i] is task i's index into that arena,
+     * so GraphTemplate re-times the topology by filling the arena and
+     * gathering through slot.
      */
     struct Provenance {
-        /** Per-op source: a descriptor id for compute ops, or the
-         *  communication kind + per-GPU payload for comm ops. */
-        struct OpSource {
-            int32_t desc_id = -1; //!< -1 for communication ops
-            CommKind comm_kind = CommKind::TpAllReduce;
-            double comm_bytes = 0.0;
+        /** A distinct (kind, per-GPU payload) communication site. */
+        struct CommSite {
+            CommKind kind = CommKind::TpAllReduce;
+            double bytes = 0.0;
         };
 
-        std::vector<int32_t> first_task; //!< size numOps()+1
-        std::vector<OpSource> ops;
+        std::vector<int32_t> slot; //!< size numTasks()
         std::vector<OpDesc> descs; //!< interned descriptors, by id
         std::vector<int32_t> kernels_per_desc;
+        std::vector<CommSite> comm_sites;
     };
 
     TaskGraph() : topo_(emptyTopology()) {}
 
     /** Incremental construction of arbitrary task DAGs (tests and
-     *  custom frontends; the vTrain pipeline uses expand()). */
+     *  custom frontends; the vTrain pipeline uses expand()).  Tasks
+     *  keep the ids addTask() returns, so a built graph is in
+     *  execution order only when added in that order: the queue
+     *  engine runs any graph, the replay engine only ordered ones. */
     class Builder
     {
       public:
@@ -145,13 +159,27 @@ class TaskGraph
     };
 
     /**
-     * Expands a finalized operator graph via the lookup table.  When
-     * `provenance` is non-null it receives the structural record the
-     * graph-template cache needs to re-time this topology later.
+     * Expands a finalized operator graph via the lookup table,
+     * numbering tasks in execution order (see file comment): the roots
+     * are the operators without parents, in operator order; popping a
+     * kernel that is not its operator's last queues its chain
+     * successor, and popping an operator's last kernel queues each
+     * child operator, in CSR order, whose last parent that was.
+     * Operator i's kernels therefore need not be contiguous.  The
+     * perturber still draws in (operator, kernel) order.  Throws on a
+     * cyclic operator graph (the walk cannot order every task).
+     *
+     * When `provenance` is non-null it receives the structural record
+     * the graph-template cache needs to re-time this topology later.
+     * When `op_first_task` is non-null it receives, per operator, the
+     * id of the operator's first task (under collapse_operators, the
+     * operator's only task) — the way to find an operator's tasks in
+     * an engine trace.
      */
     static TaskGraph expand(const OpGraph &ops, OperatorToTaskTable &table,
                             const ExpandOptions &options = {},
-                            Provenance *provenance = nullptr);
+                            Provenance *provenance = nullptr,
+                            std::vector<int32_t> *op_first_task = nullptr);
 
     /** Assembles a graph from a duration array and a shared topology
      *  (the template re-timing fast path). */
@@ -159,6 +187,9 @@ class TaskGraph
                                std::shared_ptr<const Topology> topology);
 
     const std::vector<double> &durations() const { return durations_; }
+
+    /** Moves the duration array out (the graph keeps its topology). */
+    std::vector<double> releaseDurations() && { return std::move(durations_); }
     const std::vector<TaskMeta> &metas() const { return topo_->meta; }
 
     size_t numTasks() const { return durations_.size(); }

@@ -1,7 +1,5 @@
 #include "graph/template.h"
 
-#include <algorithm>
-
 #include "graph/builder.h"
 #include "util/hash.h"
 #include "util/logging.h"
@@ -65,6 +63,7 @@ GraphTemplate::capture(const OpGraph &ops, OperatorToTaskTable &table,
     *expanded = TaskGraph::expand(ops, table, options, &prov);
     tmpl->topo_ = expanded->topology();
     tmpl->prov_ = std::move(prov);
+    tmpl->num_operators_ = ops.numNodes();
     tmpl->collapse_ = options.collapse_operators;
 
     const auto &topo = *tmpl->topo_;
@@ -73,21 +72,12 @@ GraphTemplate::capture(const OpGraph &ops, OperatorToTaskTable &table,
         sizeof(GraphTemplate) +
         topo.meta.size() * sizeof(TaskGraph::TaskMeta) +
         (topo.child_offsets.size() + topo.child_list.size() +
-         topo.in_degree.size() + p.first_task.size() +
+         topo.in_degree.size() + p.slot.size() +
          p.kernels_per_desc.size()) *
             sizeof(int32_t) +
-        p.ops.size() * sizeof(TaskGraph::Provenance::OpSource) +
         p.descs.size() * sizeof(OpDesc) +
-        ReplaySchedule::predictBytes(topo);
+        p.comm_sites.size() * sizeof(TaskGraph::Provenance::CommSite);
     return tmpl;
-}
-
-const ReplaySchedule &
-GraphTemplate::schedule() const
-{
-    std::call_once(schedule_once_,
-                   [this] { schedule_ = ReplaySchedule::build(*topo_); });
-    return *schedule_;
 }
 
 bool
@@ -110,15 +100,14 @@ GraphTemplate::retimeDurations(OperatorToTaskTable &table,
                                const CommModel &comm,
                                std::vector<double> *out) const
 {
-    // One table lookup per interned descriptor, verified against the
-    // captured kernel counts: a disagreeing decomposition (fingerprint
-    // collision, different profiler) must rebuild, never mis-time.
-    // The durations are flattened into a packed per-desc arena so the
-    // per-op fill below streams doubles instead of striding through
-    // the table's kernel records.
+    // The duration arena (task_graph.h Provenance): descriptor kernels
+    // first, then communication sites.  One table lookup per interned
+    // descriptor, verified against the captured kernel counts: a
+    // disagreeing decomposition (fingerprint collision, different
+    // profiler) must rebuild, never mis-time.
     const size_t n_descs = prov_.descs.size();
-    std::vector<int32_t> flat_off(n_descs + 1, 0);
     std::vector<const KernelSequence *> seqs(n_descs);
+    size_t n_kernel_slots = 0;
     for (size_t d = 0; d < n_descs; ++d) {
         const KernelSequence &seq = table.lookup(prov_.descs[d]);
         if (!collapse_ &&
@@ -126,65 +115,34 @@ GraphTemplate::retimeDurations(OperatorToTaskTable &table,
                 prov_.kernels_per_desc[d])
             return false;
         seqs[d] = &seq;
-        flat_off[d + 1] =
-            flat_off[d] +
-            (collapse_ ? 1
-                       : static_cast<int32_t>(seq.kernels.size()));
+        n_kernel_slots += collapse_ ? 1 : seq.kernels.size();
     }
-    std::vector<double> flat(static_cast<size_t>(flat_off[n_descs]));
-    for (size_t d = 0; d < n_descs; ++d) {
+    std::vector<double> arena(n_kernel_slots + prov_.comm_sites.size());
+    double *slot = arena.data();
+    for (const KernelSequence *seq : seqs) {
         if (collapse_) {
             // Same accumulation order as expansion: bit-identical sum.
             double total = 0.0;
-            for (const auto &k : seqs[d]->kernels)
+            for (const auto &k : seq->kernels)
                 total += k.duration;
-            flat[flat_off[d]] = total;
+            *slot++ = total;
         } else {
-            const auto &kernels = seqs[d]->kernels;
-            for (size_t k = 0; k < kernels.size(); ++k)
-                flat[flat_off[d] + static_cast<size_t>(k)] =
-                    kernels[k].duration;
+            for (const auto &k : seq->kernels)
+                *slot++ = k.duration;
         }
     }
+    // The latency model runs once per distinct site (every TP
+    // All-Reduce shares one payload, DP buckets repeat across stages).
+    for (const auto &site : prov_.comm_sites)
+        *slot++ = comm.latencySeconds(
+            commDescFor(site.kind, site.bytes, parallel, cluster));
 
-    // Comm sites repeat heavily (every TP All-Reduce shares one
-    // payload; DP buckets repeat across the middle stages), so the
-    // latency model runs once per distinct (kind, bytes) pair and a
-    // small flat memo serves the other tens of thousands of nodes.
-    struct CommLatency {
-        CommKind kind;
-        double bytes;
-        double latency;
-    };
-    std::vector<CommLatency> comm_memo;
-    const auto comm_latency = [&](CommKind kind, double bytes) {
-        for (const CommLatency &m : comm_memo)
-            if (m.kind == kind && m.bytes == bytes)
-                return m.latency;
-        const double latency = comm.latencySeconds(
-            commDescFor(kind, bytes, parallel, cluster));
-        comm_memo.push_back(CommLatency{kind, bytes, latency});
-        return latency;
-    };
-
-    std::vector<double> &durations = *out;
-    durations.resize(topo_->meta.size());
-    const size_t n_ops = prov_.ops.size();
-    const TaskGraph::Provenance::OpSource *const ops = prov_.ops.data();
-    const int32_t *const first_task = prov_.first_task.data();
-    for (size_t i = 0; i < n_ops; ++i) {
-        const auto &src = ops[i];
-        const int32_t first = first_task[i];
-        if (src.desc_id < 0) {
-            durations[first] =
-                comm_latency(src.comm_kind, src.comm_bytes);
-        } else {
-            const int32_t begin = flat_off[src.desc_id];
-            const int32_t count = flat_off[src.desc_id + 1] - begin;
-            std::copy_n(flat.data() + begin, count,
-                        durations.data() + first);
-        }
-    }
+    const size_t n = prov_.slot.size();
+    const int32_t *const slots = prov_.slot.data();
+    out->resize(n);
+    double *const durations = out->data();
+    for (size_t i = 0; i < n; ++i)
+        durations[i] = arena[slots[i]];
     return true;
 }
 

@@ -8,11 +8,12 @@
  * *structure* of their task graph — the tasks, the CSR dependency
  * arrays, the device/stream/tag assignment — and differ only in the
  * durations that kernels and collectives are assigned.  A
- * GraphTemplate captures that structure once (together with a per-op
- * provenance record mapping every task span back to its operator
- * descriptor or communication payload) and a retime() pass fills in
- * durations for a new (plan, cluster) pair in O(tasks) with a single
- * allocation, skipping graph construction and expansion entirely.
+ * GraphTemplate captures that structure once (together with a
+ * provenance record mapping every task to its descriptor kernel or
+ * communication site) and a retime() pass fills in durations for a
+ * new (plan, cluster) pair in O(tasks) — it fills a small duration
+ * arena and gathers it through the per-task slots — skipping graph
+ * construction and expansion entirely.
  *
  * Templates are keyed by structuralFingerprint(), a hash of exactly
  * the inputs the topology depends on: model shape, the structural
@@ -30,11 +31,11 @@
  * fingerprint collision, or a profiler whose decomposition changed)
  * fails gracefully and the caller rebuilds from scratch.
  *
- * A template also carries the topology's execution-order replay
- * schedule (graph/schedule.h), built lazily on first use: warm
- * simulations pair retimeDurations() with the engine's
- * replaySimulation()/replayBatch() linear passes instead of
- * re-running the ready queue.
+ * The captured topology is in execution order (graph/task_graph.h),
+ * so it doubles as the replay schedule: warm simulations pair
+ * retimeDurations() with the engine's replaySimulation()/replayBatch()
+ * linear passes over topology() instead of re-running the ready
+ * queue.
  */
 #ifndef VTRAIN_GRAPH_TEMPLATE_H
 #define VTRAIN_GRAPH_TEMPLATE_H
@@ -42,13 +43,11 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <mutex> // std::once_flag (annotation-free by design; see below)
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "comm/comm_model.h"
-#include "graph/schedule.h"
 #include "graph/task_graph.h"
 #include "hw/cluster_spec.h"
 #include "model/model_config.h"
@@ -103,10 +102,11 @@ class GraphTemplate
 
     /**
      * The durations-only variant of retime(): fills `*out` with the
-     * per-task durations (in task id order) the retimed graph would
-     * carry, without assembling a TaskGraph.  The schedule-replay
-     * engine consumes exactly this (engine.h replaySimulation), and
-     * the batched sweep path collects one such vector per point.
+     * per-task durations (in task id, i.e. execution, order) the
+     * retimed graph would carry, without assembling a TaskGraph.  The
+     * replay engine consumes exactly this over topology() (engine.h
+     * replaySimulation), and the batched sweep path collects one such
+     * vector per point.
      */
     bool retimeDurations(OperatorToTaskTable &table,
                          const ParallelConfig &parallel,
@@ -114,20 +114,14 @@ class GraphTemplate
                          const CommModel &comm,
                          std::vector<double> *out) const;
 
-    /**
-     * The execution-order replay schedule of the captured topology,
-     * built on first use (capture stays cheap; the one-time queue
-     * pass lands on the first replay) and shared by every subsequent
-     * replay of this template, across threads.
-     */
-    const ReplaySchedule &schedule() const;
+    /** The captured topology, in execution order: the replay engine's
+     *  schedule, shared by every replay of this template. */
+    const TaskGraph::Topology &topology() const { return *topo_; }
 
-    size_t numOperators() const { return prov_.ops.size(); }
+    size_t numOperators() const { return num_operators_; }
     size_t numTasks() const { return topo_->meta.size(); }
 
-    /** Approximate resident size, for the cache's byte budget.
-     *  Includes the (lazily built) replay schedule up front, so cache
-     *  accounting does not shift when the schedule materializes. */
+    /** Approximate resident size, for the cache's byte budget. */
     size_t approxBytes() const { return bytes_; }
 
   private:
@@ -135,16 +129,9 @@ class GraphTemplate
 
     std::shared_ptr<const TaskGraph::Topology> topo_;
     TaskGraph::Provenance prov_;
+    size_t num_operators_ = 0;
     bool collapse_ = false;
     size_t bytes_ = 0;
-
-    // call_once publication, not a mutex: std::once_flag needs no
-    // thread-safety annotations (call_once's own synchronization
-    // guarantees schedule_ is written exactly once, before any read
-    // through the returned reference), and lint.py's naked-mutex rule
-    // deliberately leaves once_flag alone.
-    mutable std::once_flag schedule_once_;
-    mutable std::shared_ptr<const ReplaySchedule> schedule_;
 };
 
 /**
@@ -182,7 +169,10 @@ class GraphTemplateCache
   public:
     struct Options {
         size_t max_entries = 32;
-        size_t max_bytes = 256u << 20; //!< 256 MiB
+        /** 128 MiB.  A template costs about 24 bytes per task, so
+         *  this keeps ~5M tasks of topology (a dozen capped MT-NLG
+         *  plans) resident. */
+        size_t max_bytes = 128u << 20;
     };
 
     GraphTemplateCache() : GraphTemplateCache(Options{}) {}

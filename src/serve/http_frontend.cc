@@ -407,8 +407,8 @@ HttpFrontend::handleMetricz() const
     // tally, and each scrape raises the mirrored series to it.
     const std::string_view engine_help =
         "Simulator engine work, as on /statz service.engine: "
-        "queue_runs counts runs timed by the queue engine (captures "
-        "and template-less runs), replay_runs duration vectors "
+        "queue_runs counts template-less runs, timed by the queue "
+        "engine, replay_runs duration vectors "
         "replayed by a pass with one core, batched_points vectors "
         "replayed alongside at least one other, core_merges points "
         "answered from another point's core.";

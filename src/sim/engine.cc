@@ -116,7 +116,7 @@ namespace {
 /**
  * Widest lockstep lane count of replayBatch.  Four doubles (half a
  * cache line) measured fastest on the baseline machine: narrower
- * chunks amortize the schedule stream less, while wider ones (8-16)
+ * chunks amortize the topology stream less, while wider ones (8-16)
  * push the randomly-accessed K-wide ready array past L2 and lose more
  * on the child updates than they save on streaming.  Every width
  * produces bit-identical results; this constant is purely a
@@ -125,38 +125,31 @@ namespace {
 constexpr size_t kMaxReplayWidth = 4;
 
 /**
- * One K-wide lockstep pass over the schedule (see replayBatch), and
- * with K = 1 the single replay (replaySimulation).  Positions are
- * visited in the queue engine's pop order, so the per-lane timeline
- * evolution and every floating-point accumulation are bit-identical
- * to runSimulationImpl over the same topology.  K is a compile-time
- * constant so the per-position loops fully unroll, and the working
- * arrays are __restrict: they never alias each other or the inputs,
- * which lets the compiler keep the K ends and the K running makespans
- * in registers.  kTrace (K = 1 only) records every task's span into
- * `trace`, indexed by task id; it is compiled out otherwise.
+ * One K-wide lockstep pass over an execution-ordered topology (see
+ * replayBatch), and with K = 1 the single replay (replaySimulation).
+ * Tasks are visited in id order, which is the queue engine's pop
+ * order, so the per-lane timeline evolution and every floating-point
+ * accumulation are bit-identical to runSimulationImpl over the same
+ * topology.  K is a compile-time constant so the per-task loops fully
+ * unroll, and the working arrays are __restrict: they never alias
+ * each other or the inputs, which lets the compiler keep the K ends
+ * and the K running makespans in registers.  kTrace (K = 1 only)
+ * records every task's span into `trace`; it is compiled out
+ * otherwise.
  */
 template <size_t K, bool kTrace = false>
 void
-replayChunk(const ReplaySchedule &schedule,
-            const double *const *set_ptrs,
+replayChunk(const TaskGraph::Topology &topo, const double *const *set_ptrs,
             std::vector<double> &ready_vec, EngineResult *results,
             TaskSpan *trace = nullptr)
 {
     static_assert(K == 1 || !kTrace, "a trace holds one point's spans");
-    const size_t n = schedule.numTasks();
-    const int n_devices = schedule.num_devices;
-    const int32_t *const order = schedule.order.data();
-    const int32_t *const lane = schedule.lane.data();
-    const int32_t *const busy_lane = schedule.busy_lane.data();
-    const uint8_t *const tag = schedule.tag.data();
-    const int32_t *const child_offsets = schedule.child_offsets.data();
-    const int32_t *const child_list = schedule.child_list.data();
+    const size_t n = topo.meta.size();
+    const int n_devices = topo.num_devices;
+    const TaskGraph::TaskMeta *const meta = topo.meta.data();
+    const int32_t *const child_offsets = topo.child_offsets.data();
+    const int32_t *const child_list = topo.child_list.data();
 
-    // Durations are read straight out of the input vectors (the K
-    // loads per position all share one index, order[i]); gathering
-    // them into a schedule-order arena first would only add a full
-    // extra write + read of n*K doubles of memory traffic.
     const double *__restrict set_ptr[K];
     for (size_t j = 0; j < K; ++j)
         set_ptr[j] = set_ptrs[j];
@@ -176,13 +169,13 @@ replayChunk(const ReplaySchedule &schedule,
 
     for (size_t i = 0; i < n; ++i) {
         const size_t base = i * K;
-        const int32_t u = order[i];
-        double *__restrict const lane_base = timeline + lane[i] * K;
-        double *__restrict const busy_base = busy + busy_lane[i] * K;
-        double *__restrict const tag_base = tags + tag[i] * K;
+        const detail::ReplayLanes lanes = detail::replayLanes(meta[i]);
+        double *__restrict const lane_base = timeline + lanes.timeline * K;
+        double *__restrict const busy_base = busy + lanes.busy * K;
+        double *__restrict const tag_base = tags + lanes.tag * K;
         double end[K];
         for (size_t j = 0; j < K; ++j) {
-            const double duration = set_ptr[j][u];
+            const double duration = set_ptr[j][i];
             const double start =
                 std::max(ready[base + j], lane_base[j]);
             end[j] = start + duration;
@@ -191,7 +184,7 @@ replayChunk(const ReplaySchedule &schedule,
             tag_base[j] += duration;
             makespan[j] = std::max(makespan[j], end[j]);
             if constexpr (kTrace)
-                trace[u] = TaskSpan{start, end[j]};
+                trace[i] = TaskSpan{start, end[j]};
         }
         for (const int32_t *c = child_list + child_offsets[i],
                            *const c_end =
@@ -204,30 +197,29 @@ replayChunk(const ReplaySchedule &schedule,
         }
     }
 
-    detail::unpackChunkResults(K, schedule, busy, tags, makespan,
-                               results);
+    detail::unpackChunkResults(K, topo, busy, tags, makespan, results);
 }
 
 } // namespace
 
 EngineResult
-replaySimulation(const ReplaySchedule &schedule,
+replaySimulation(const TaskGraph::Topology &topology,
                  const std::vector<double> &durations,
                  std::vector<TaskSpan> *trace)
 {
-    VTRAIN_CHECK(durations.size() == schedule.numTasks(),
-                 "replay durations (", durations.size(),
-                 ") do not match the schedule (", schedule.numTasks(),
+    const size_t n = topology.meta.size();
+    VTRAIN_CHECK(durations.size() == n, "replay durations (",
+                 durations.size(), ") do not match the topology (", n,
                  " tasks)");
     const double *const set = durations.data();
     std::vector<double> ready;
     EngineResult result;
     if (trace) {
-        trace->assign(schedule.numTasks(), TaskSpan{});
-        replayChunk<1, true>(schedule, &set, ready, &result,
+        trace->assign(n, TaskSpan{});
+        replayChunk<1, true>(topology, &set, ready, &result,
                              trace->data());
     } else {
-        replayChunk<1>(schedule, &set, ready, &result);
+        replayChunk<1>(topology, &set, ready, &result);
     }
     return result;
 }
@@ -279,7 +271,7 @@ activeReplayKernel()
 }
 
 void
-replayBatchInto(const ReplaySchedule &schedule,
+replayBatchInto(const TaskGraph::Topology &topology,
                 const double *const *duration_sets, size_t count,
                 EngineResult *results, ReplayKernel kernel)
 {
@@ -297,7 +289,7 @@ replayBatchInto(const ReplaySchedule &schedule,
     size_t begin = 0;
     if (kernel == ReplayKernel::Avx2) {
         while (count - begin >= detail::kAvx2ReplayWidth) {
-            detail::replayChunkAvx2(schedule, duration_sets + begin,
+            detail::replayChunkAvx2(topology, duration_sets + begin,
                                     ready, results + begin);
             begin += detail::kAvx2ReplayWidth;
         }
@@ -305,44 +297,44 @@ replayBatchInto(const ReplaySchedule &schedule,
     static_assert(kMaxReplayWidth == 4,
                   "update the dispatch below with the width table");
     while (count - begin >= 4) {
-        replayChunk<4>(schedule, duration_sets + begin, ready,
+        replayChunk<4>(topology, duration_sets + begin, ready,
                        results + begin);
         begin += 4;
     }
     if (count - begin >= 2) {
-        replayChunk<2>(schedule, duration_sets + begin, ready,
+        replayChunk<2>(topology, duration_sets + begin, ready,
                        results + begin);
         begin += 2;
     }
     if (count - begin == 1) {
-        replayChunk<1>(schedule, duration_sets + begin, ready,
+        replayChunk<1>(topology, duration_sets + begin, ready,
                        results + begin);
     }
 }
 
 std::vector<EngineResult>
-replayBatch(const ReplaySchedule &schedule,
+replayBatch(const TaskGraph::Topology &topology,
             const std::vector<std::vector<double>> &duration_sets)
 {
-    return replayBatch(schedule, duration_sets, activeReplayKernel());
+    return replayBatch(topology, duration_sets, activeReplayKernel());
 }
 
 std::vector<EngineResult>
-replayBatch(const ReplaySchedule &schedule,
+replayBatch(const TaskGraph::Topology &topology,
             const std::vector<std::vector<double>> &duration_sets,
             ReplayKernel kernel)
 {
-    const size_t n = schedule.numTasks();
+    const size_t n = topology.meta.size();
     for (const std::vector<double> &set : duration_sets)
         VTRAIN_CHECK(set.size() == n,
                      "replay durations (", set.size(),
-                     ") do not match the schedule (", n, " tasks)");
+                     ") do not match the topology (", n, " tasks)");
 
     std::vector<EngineResult> results(duration_sets.size());
     std::vector<const double *> set_ptrs(duration_sets.size());
     for (size_t j = 0; j < duration_sets.size(); ++j)
         set_ptrs[j] = duration_sets[j].data();
-    replayBatchInto(schedule, set_ptrs.data(), set_ptrs.size(),
+    replayBatchInto(topology, set_ptrs.data(), set_ptrs.size(),
                     results.data(), kernel);
     return results;
 }

@@ -11,20 +11,28 @@
  * Two execution modes share that semantics:
  *
  *   - runSimulation(): the queue engine.  Works on any TaskGraph,
- *     detects cycles, times template captures and template-less
- *     runs, and is the golden reference the replay modes are tested
- *     bit-identical against.
+ *     detects cycles, times the template-less runs, and is the golden
+ *     reference the replay modes are tested bit-identical against.
  *   - replaySimulation() / replayBatch(): schedule replay.  The FIFO
  *     pop order is a pure function of the topology (tasks enter the
  *     queue when their reference count hits zero and leave in
- *     insertion order — durations cannot reorder a FIFO), so a
- *     ReplaySchedule captured once per topology turns every
- *     subsequent run into a single linear pass: no queue, no
- *     reference counting, no per-task stream branch.  replayBatch()
- *     simulates K duration vectors over one shared schedule in a
+ *     insertion order — durations cannot reorder a FIFO), and
+ *     TaskGraph::expand numbers tasks in exactly that order, so a run
+ *     over an expanded topology is a single linear pass over tasks
+ *     0..n-1: no queue, no reference counting, no per-task stream
+ *     branch, and durations stream in task order.  replayBatch()
+ *     simulates K duration vectors over one shared topology in a
  *     cache-friendly K-wide pass, the engine side of batched
  *     design-space sweeps; replaySimulation() is the same loop at
  *     K = 1, with optional tracing.
+ *
+ * Replays are bit-identical to the queue engine over the same
+ * topology: the visit order is the queue's pop order, so every
+ * floating-point accumulation (ready-time maxes, busy sums, tag sums)
+ * happens in the same sequence on the same values.  They require a
+ * topology in execution order (every expanded one is); a hand-built
+ * TaskGraph::Builder graph generally is not, and runs on the queue
+ * engine.
  */
 #ifndef VTRAIN_SIM_ENGINE_H
 #define VTRAIN_SIM_ENGINE_H
@@ -34,7 +42,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/schedule.h"
 #include "graph/task_graph.h"
 
 namespace vtrain {
@@ -75,18 +82,15 @@ EngineResult runSimulation(const TaskGraph &graph,
                            std::vector<TaskSpan> *trace = nullptr);
 
 /**
- * Replays a precomputed schedule with the given durations: one linear
- * pass, bit-identical to runSimulation() over the same topology (the
- * visit order is the queue engine's pop order, so every accumulation
- * happens in the same sequence).
+ * Replays an execution-ordered topology with the given durations: one
+ * linear pass, bit-identical to runSimulation() over the same graph.
  *
- * @param schedule  execution order of the topology (ReplaySchedule).
- * @param durations per-task durations in *original task id* order
- *                  (the order TaskGraph::durations() uses), one per
- *                  scheduled task.
+ * @param topology  a topology in execution order (TaskGraph::expand).
+ * @param durations per-task durations in task id order (the order
+ *                  TaskGraph::durations() uses), one per task.
  * @param trace     like runSimulation(): spans indexed by task id.
  */
-EngineResult replaySimulation(const ReplaySchedule &schedule,
+EngineResult replaySimulation(const TaskGraph::Topology &topology,
                               const std::vector<double> &durations,
                               std::vector<TaskSpan> *trace = nullptr);
 
@@ -118,21 +122,21 @@ bool replayKernelUsable(ReplayKernel kernel);
 ReplayKernel activeReplayKernel();
 
 /**
- * Simulates K duration vectors over one shared schedule in a single
+ * Simulates K duration vectors over one shared topology in a single
  * cache-friendly pass.  The K points advance in lockstep through the
- * schedule: per position the K-wide inner loops (contiguous, branch
- * free) vectorize — explicitly via the AVX2 chunk kernel when the
- * host supports it, by autovectorization of the scalar
- * chunks otherwise — and the schedule's metadata and child arrays
- * are read once per position instead of once per point.  Results are
- * bit-identical to K independent replaySimulation() calls, under
- * every kernel.
+ * tasks: per task the K-wide inner loops (contiguous, branch free)
+ * vectorize — explicitly via the AVX2 chunk kernel when the host
+ * supports it, by autovectorization of the scalar chunks otherwise —
+ * and the topology's metadata and child arrays are read once per task
+ * instead of once per point.  Results are bit-identical to K
+ * independent replaySimulation() calls, under every kernel.
  *
- * @param duration_sets K vectors, each in original task id order.
+ * @param topology      a topology in execution order.
+ * @param duration_sets K vectors, each in task id order.
  * @return one EngineResult per input vector, in order.
  */
 std::vector<EngineResult>
-replayBatch(const ReplaySchedule &schedule,
+replayBatch(const TaskGraph::Topology &topology,
             const std::vector<std::vector<double>> &duration_sets);
 
 /**
@@ -141,18 +145,18 @@ replayBatch(const ReplaySchedule &schedule,
  * Aborts when the kernel is not usable on this host.
  */
 std::vector<EngineResult>
-replayBatch(const ReplaySchedule &schedule,
+replayBatch(const TaskGraph::Topology &topology,
             const std::vector<std::vector<double>> &duration_sets,
             ReplayKernel kernel);
 
 /**
  * The allocation-lean core of replayBatch: `count` duration vectors
- * given as raw pointers (each schedule.numTasks() doubles, original
- * task id order — not validated), results written into
- * `results[0..count)`.  The batched simulator path uses this to
- * replay a compacted subset of its retime buffers without copying.
+ * given as raw pointers (each topology.meta.size() doubles, task id
+ * order — not validated), results written into `results[0..count)`.
+ * The batched simulator path uses this to replay its retime buffers
+ * without copying.
  */
-void replayBatchInto(const ReplaySchedule &schedule,
+void replayBatchInto(const TaskGraph::Topology &topology,
                      const double *const *duration_sets, size_t count,
                      EngineResult *results, ReplayKernel kernel);
 
@@ -165,10 +169,10 @@ void replayBatchInto(const ReplaySchedule &schedule,
  */
 struct EngineCounters {
     /** Duration vectors replayed alone, by an engine pass over one
-     *  core (e.g. a warm single plan). */
+     *  core (e.g. a single plan, cold or warm). */
     std::atomic<uint64_t> replay_runs{0};
-    /** Runs timed by the queue engine: template captures and
-     *  template-less runs. */
+    /** Template-less runs, timed by the queue engine (no template
+     *  cache, a perturber, or the non-memoized ablation). */
     std::atomic<uint64_t> queue_runs{0};
     /** Duration vectors replayed alongside at least one other in one
      *  lockstep pass (replayBatch): one per distinct core and

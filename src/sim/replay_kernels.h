@@ -2,11 +2,11 @@
  * @file
  * Vectorized replay-chunk kernels: the ISA dispatch boundary.
  *
- * Each kernel runs one fixed-width lockstep pass over a
- * ReplaySchedule, exactly mirroring engine.cc's scalar replayChunk<K>
- * — same arrays, same per-position loads, and the same per-lane
- * operation order — so every width and every ISA produces bit-
- * identical EngineResults:
+ * Each kernel runs one fixed-width lockstep pass over an
+ * execution-ordered TaskGraph::Topology, exactly mirroring engine.cc's
+ * scalar replayChunk<K> — same arrays, same per-task loads, and the
+ * same per-lane operation order — so every width and every ISA
+ * produces bit-identical EngineResults:
  *
  *   - the accumulation path contains only IEEE additions and maxima
  *     (no multiplies), so FMA contraction cannot apply; the kernel
@@ -30,7 +30,8 @@
 #include <cstddef>
 #include <vector>
 
-#include "graph/schedule.h"
+#include "graph/task_graph.h"
+#include "kernels/kernel.h"
 #include "sim/engine.h"
 
 namespace vtrain {
@@ -44,14 +45,36 @@ constexpr size_t kAvx2ReplayWidth = 4;
  *  nothing about the running CPU — see engine.h replayKernelUsable. */
 bool replayKernelAvx2Compiled();
 
+/** Accumulator slots one task updates (see replayLanes). */
+struct ReplayLanes {
+    size_t timeline; //!< device * kNumStreams + stream
+    size_t busy;     //!< device * 2 + (stream != Compute)
+    size_t tag;      //!< TaskTag index, for time_by_tag
+};
+
 /**
- * One kAvx2ReplayWidth-wide lockstep pass over the schedule.
- * `set_ptrs` holds kAvx2ReplayWidth duration vectors (original task
- * id order, schedule.numTasks() entries each); `ready_vec` is caller
- * scratch reused across chunks; `results` receives one EngineResult
- * per lane.  Aborts if the kernel was not compiled in.
+ * @return the accumulator slots of a task.  The busy slot is kept
+ * apart from the timeline slot so the compute/comm split accumulates
+ * in exactly the queue engine's order (bit-identical sums).
  */
-void replayChunkAvx2(const ReplaySchedule &schedule,
+inline ReplayLanes
+replayLanes(const TaskGraph::TaskMeta &meta)
+{
+    const auto device = static_cast<size_t>(meta.device);
+    return ReplayLanes{
+        device * kNumStreams + static_cast<size_t>(meta.stream),
+        device * 2 + (meta.stream != StreamKind::Compute ? 1u : 0u),
+        static_cast<size_t>(meta.tag)};
+}
+
+/**
+ * One kAvx2ReplayWidth-wide lockstep pass over the topology.
+ * `set_ptrs` holds kAvx2ReplayWidth duration vectors (task id order,
+ * topology.meta.size() entries each); `ready_vec` is caller scratch
+ * reused across chunks; `results` receives one EngineResult per lane.
+ * Aborts if the kernel was not compiled in.
+ */
+void replayChunkAvx2(const TaskGraph::Topology &topology,
                      const double *const *set_ptrs,
                      std::vector<double> &ready_vec,
                      EngineResult *results);
@@ -62,12 +85,12 @@ void replayChunkAvx2(const ReplaySchedule &schedule,
  * result layout cannot drift between the scalar and vector kernels.
  */
 inline void
-unpackChunkResults(size_t k, const ReplaySchedule &schedule,
+unpackChunkResults(size_t k, const TaskGraph::Topology &topology,
                    const double *busy, const double *tags,
                    const double *makespan, EngineResult *results)
 {
-    const size_t n = schedule.numTasks();
-    const int n_devices = schedule.num_devices;
+    const size_t n = topology.meta.size();
+    const int n_devices = topology.num_devices;
     for (size_t j = 0; j < k; ++j) {
         EngineResult &result = results[j];
         result.makespan = makespan[j];

@@ -26,23 +26,17 @@ replayKernelAvx2Compiled()
 }
 
 void
-replayChunkAvx2(const ReplaySchedule &schedule,
+replayChunkAvx2(const TaskGraph::Topology &topology,
                 const double *const *set_ptrs,
                 std::vector<double> &ready_vec, EngineResult *results)
 {
     constexpr size_t K = kAvx2ReplayWidth;
-    const size_t n = schedule.numTasks();
-    const int n_devices = schedule.num_devices;
-    const int32_t *const order = schedule.order.data();
-    const int32_t *const lane = schedule.lane.data();
-    const int32_t *const busy_lane = schedule.busy_lane.data();
-    const uint8_t *const tag = schedule.tag.data();
-    const int32_t *const child_offsets = schedule.child_offsets.data();
-    const int32_t *const child_list = schedule.child_list.data();
+    const size_t n = topology.meta.size();
+    const int n_devices = topology.num_devices;
+    const TaskGraph::TaskMeta *const meta = topology.meta.data();
+    const int32_t *const child_offsets = topology.child_offsets.data();
+    const int32_t *const child_list = topology.child_list.data();
 
-    // Durations are read straight out of the input vectors — the K
-    // loads per position share one index, order[i] (same layout
-    // decision as the scalar chunk).
     const double *__restrict const s0 = set_ptrs[0];
     const double *__restrict const s1 = set_ptrs[1];
     const double *__restrict const s2 = set_ptrs[2];
@@ -62,15 +56,11 @@ replayChunkAvx2(const ReplaySchedule &schedule,
 
     __m256d makespan = _mm256_setzero_pd();
     for (size_t i = 0; i < n; ++i) {
-        const int32_t u = order[i];
-        const __m256d duration =
-            _mm256_set_pd(s3[u], s2[u], s1[u], s0[u]);
-        double *const lane_base =
-            timeline + static_cast<size_t>(lane[i]) * K;
-        double *const busy_base =
-            busy + static_cast<size_t>(busy_lane[i]) * K;
-        double *const tag_base =
-            tags + static_cast<size_t>(tag[i]) * K;
+        const __m256d duration = _mm256_set_pd(s3[i], s2[i], s1[i], s0[i]);
+        const ReplayLanes lanes = replayLanes(meta[i]);
+        double *const lane_base = timeline + lanes.timeline * K;
+        double *const busy_base = busy + lanes.busy * K;
+        double *const tag_base = tags + lanes.tag * K;
 
         const __m256d start = _mm256_max_pd(
             _mm256_loadu_pd(ready + i * K), _mm256_loadu_pd(lane_base));
@@ -98,7 +88,7 @@ replayChunkAvx2(const ReplaySchedule &schedule,
 
     alignas(32) double makespan_arr[K];
     _mm256_store_pd(makespan_arr, makespan);
-    unpackChunkResults(K, schedule, busy, tags, makespan_arr, results);
+    unpackChunkResults(K, topology, busy, tags, makespan_arr, results);
 }
 
 } // namespace detail
@@ -116,7 +106,7 @@ replayKernelAvx2Compiled()
 }
 
 void
-replayChunkAvx2(const ReplaySchedule &, const double *const *,
+replayChunkAvx2(const TaskGraph::Topology &, const double *const *,
                 std::vector<double> &, EngineResult *)
 {
     VTRAIN_CHECK(false, "AVX2 replay kernel was not compiled into "

@@ -116,36 +116,38 @@ Simulator::Simulator(ClusterSpec cluster, SimOptions options,
         counters_ = std::make_shared<EngineCounters>();
 }
 
-Simulator::RunOutcome
-Simulator::runOnce(const ModelConfig &model, const ParallelConfig &parallel,
-                   int n_micro, OperatorToTaskTable &table,
-                   std::shared_ptr<const GraphTemplate> *capture) const
+OpGraph
+Simulator::buildOps(const ModelConfig &model, const ParallelConfig &parallel,
+                    int n_micro) const
 {
     GraphBuilder builder(model, parallel, cluster_, comm_);
     BuildOptions build_options;
     build_options.n_micro_override = n_micro;
-    OpGraph ops;
-    {
-        util::TraceSpan span("sim.graph_build");
-        util::ScopedLatency timer(phaseMetrics().graph_build);
-        ops = builder.build(build_options);
-    }
+    util::TraceSpan span("sim.graph_build");
+    util::ScopedLatency timer(phaseMetrics().graph_build);
+    return builder.build(build_options);
+}
+
+ExpandOptions
+Simulator::expandOptions() const
+{
     ExpandOptions expand_options;
     expand_options.collapse_operators = options_.collapse_operators;
     expand_options.perturber = options_.perturber;
+    return expand_options;
+}
+
+Simulator::RunOutcome
+Simulator::runOnce(const ModelConfig &model, const ParallelConfig &parallel,
+                   int n_micro, OperatorToTaskTable &table) const
+{
+    const OpGraph ops = buildOps(model, parallel, n_micro);
     TaskGraph tasks;
     {
         util::TraceSpan span("sim.template_capture");
         util::ScopedLatency timer(phaseMetrics().template_capture);
-        if (capture)
-            *capture =
-                GraphTemplate::capture(ops, table, expand_options, &tasks);
-        else
-            tasks = TaskGraph::expand(ops, table, expand_options);
+        tasks = TaskGraph::expand(ops, table, expandOptions());
     }
-    // The replay schedule is built lazily on a template's first
-    // *reuse*: a sweep that thrashes the template cache with
-    // single-use topologies must not pay a schedule build per capture.
     RunOutcome outcome;
     {
         util::TraceSpan span("sim.queue_run");
@@ -158,6 +160,22 @@ Simulator::runOnce(const ModelConfig &model, const ParallelConfig &parallel,
     outcome.distinct_profiled = table.numEntries();
     outcome.profiler_calls = table.numProfilerCalls();
     return outcome;
+}
+
+std::shared_ptr<const GraphTemplate>
+Simulator::captureTemplate(const ModelConfig &model,
+                           const ParallelConfig &parallel, int n_micro,
+                           OperatorToTaskTable &table,
+                           std::vector<double> *durations) const
+{
+    const OpGraph ops = buildOps(model, parallel, n_micro);
+    util::TraceSpan span("sim.template_capture");
+    util::ScopedLatency timer(phaseMetrics().template_capture);
+    TaskGraph tasks;
+    std::shared_ptr<const GraphTemplate> tmpl =
+        GraphTemplate::capture(ops, table, expandOptions(), &tasks);
+    *durations = std::move(tasks).releaseDurations();
+    return tmpl;
 }
 
 SimulationResult
@@ -370,31 +388,29 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
         // Core 0 goes first, serially.  A warm pass retimes it; a cold
         // pass -- or a retime rejection (a foreign profiler or a
         // fingerprint collision) -- builds and captures the topology,
-        // overwriting the cache entry, and times core 0 with the
-        // queue engine on the capture's own expansion.  Either way
-        // the table now holds every descriptor of the template, so
-        // the retimes below take only read-only memoized hits and may
-        // run concurrently (the table is not thread-safe under
-        // mutation).  Durations are a pure function of the core, so
-        // results -- and the table snapshots below -- are identical
-        // to a serial loop.
+        // overwriting the cache entry, and takes core 0's durations
+        // from the capture's own expansion.  Either way the table now
+        // holds every descriptor of the template, so the retimes below
+        // take only read-only memoized hits and may run concurrently
+        // (the table is not thread-safe under mutation).  Durations
+        // are a pure function of the core, so results -- and the
+        // table snapshots below -- are identical to a serial loop.
         const uint64_t fp = structuralFingerprint(
             model, plans[0], n_micro, options_.collapse_operators,
             options_.attention);
         std::shared_ptr<const GraphTemplate> tmpl = templates_->get(fp);
+        bufs[0].sets.resize(1);
         bool warm = false;
         if (tmpl) {
             util::TraceSpan span("sim.template_retime");
             util::ScopedLatency timer(phaseMetrics().template_retime);
-            bufs[0].sets.resize(1);
             warm = tmpl->retimeDurations(table, *cores[0], cluster_,
                                          comm_, &bufs[0].sets[0]);
         }
         if (!warm) {
-            std::shared_ptr<const GraphTemplate> captured;
-            out[0] = runOnce(model, *cores[0], n_micro, table, &captured);
-            templates_->put(fp, captured);
-            tmpl = std::move(captured);
+            tmpl = captureTemplate(model, *cores[0], n_micro, table,
+                                   &bufs[0].sets[0]);
+            templates_->put(fp, tmpl);
         }
 
         // Retimes the chunk of cores starting at `begin` into `buf`,
@@ -451,14 +467,12 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
             }
         } inflight;
 
-        // The chunk loop times every core the capture did not.
-        const size_t first = warm ? 0 : 1;
-        const size_t n_chunks =
-            (n_cores - first + kCoreChunk - 1) / kCoreChunk;
+        // The chunk loop replays every core, core 0 included, over
+        // the template's execution-ordered topology.
+        const size_t n_chunks = (n_cores + kCoreChunk - 1) / kCoreChunk;
         std::vector<const double *> set_ptrs;
         std::vector<EngineResult> engines;
-        if (n_chunks > 0)
-            inflight.job = start_chunk(first, warm ? 1 : 0, bufs[0]);
+        inflight.job = start_chunk(0, /*filled=*/1, bufs[0]);
         for (size_t c = 0; c < n_chunks; ++c) {
             ChunkBuf &buf = bufs[c % 2];
             if (inflight.job) {
@@ -484,7 +498,7 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
             {
                 util::TraceSpan span("sim.replay");
                 util::ScopedLatency timer(phaseMetrics().replay);
-                replayBatchInto(tmpl->schedule(), set_ptrs.data(), count,
+                replayBatchInto(tmpl->topology(), set_ptrs.data(), count,
                                 engines.data(), activeReplayKernel());
             }
             (count == 1 ? counters_->replay_runs

@@ -32,14 +32,16 @@
  * One timing path: simulateIteration() is simulateIterationBatch() on
  * a group of one.  Per simulated micro-batch count, the pipeline
  * fetches the template once; on a miss (or a retime rejection) it
- * captures one, and the queue engine times the first core on the
- * capture's own expansion.  Every other core is re-timed and replayed
- * along the template's execution order (built lazily on first reuse),
- * which turns each run into one linear pass (sim/engine.h); distinct
- * cores replay in lockstep over the shared schedule.  Template-less
- * runs -- a null cache, a perturber, or the non-memoized ablation --
- * build, expand and run the queue engine per plan: that path is the
- * golden reference the template path is tested bit-identical against.
+ * captures one, and the capture's own expansion supplies the first
+ * core's durations.  Every other core is re-timed.  Every core, the
+ * first included, is then replayed over the template's topology,
+ * whose task ids are the queue engine's execution order, so each run
+ * is one linear pass (sim/engine.h); distinct cores replay in lockstep
+ * over the shared topology.  Template-less runs -- a null cache, a
+ * perturber, or the non-memoized ablation -- build, expand and run the
+ * queue engine per plan: that path is the golden reference the
+ * template path is tested bit-identical against, and the only one the
+ * queue engine times.
  */
 #ifndef VTRAIN_SIM_SIMULATOR_H
 #define VTRAIN_SIM_SIMULATOR_H
@@ -115,9 +117,9 @@ class Simulator
      * Simulator sharing `templates` with other instances (the serve
      * layer passes one cache to every per-request Simulator).  A null
      * cache disables the template path entirely: every simulation
-     * builds its graphs from scratch and replays them through the
-     * queue engine (golden tests use this to check the template +
-     * schedule-replay path bit-identical to it).  A non-null
+     * builds its graphs from scratch and runs them on the queue
+     * engine (golden tests use this to check the template + replay
+     * path bit-identical to it).  A non-null
      * `counters` shares engine-mode counters the same way (the serve
      * layer reports them on /statz); null keeps private counters.
      */
@@ -135,10 +137,10 @@ class Simulator
      * pass.  The plans are first merged into distinct cores
      * (batchCore(): the plan without its global batch size).  The
      * task-graph topology is fetched (or captured, its expansion
-     * timing the first core on the queue engine) once per simulated
+     * supplying the first core's durations) once per simulated
      * micro-batch count, every other core contributes one re-timed
-     * duration vector per count, and the engine simulates them in
-     * lockstep over the shared schedule (engine.h replayBatch).  Every
+     * duration vector per count, and the engine simulates them all in
+     * lockstep over the shared topology (engine.h replayBatch).  Every
      * plan's result is then assembled from its core's runs, so a
      * K-point group costs one template fetch, one retime and replay
      * per distinct core, and K cheap assemblies.  One shared lookup
@@ -210,18 +212,33 @@ class Simulator
         size_t profiler_calls = 0;
     };
 
+    /** Builds the operator graph of one iteration with n_micro
+     *  micro-batches. */
+    OpGraph buildOps(const ModelConfig &model,
+                     const ParallelConfig &parallel, int n_micro) const;
+
+    /** The expansion options of this simulator's runs. */
+    ExpandOptions expandOptions() const;
+
     /**
-     * Builds, expands and times one iteration with n_micro
-     * micro-batches on the queue engine.  When `capture` is non-null
-     * the expansion is also captured into `*capture`.  The lookup
-     * table is owned by the caller so fast mode's two capped runs
-     * profile each distinct operator once.
+     * The template-less path's run: builds, expands and times one
+     * iteration with n_micro micro-batches on the queue engine.  The
+     * lookup table is owned by the caller so fast mode's two capped
+     * runs profile each distinct operator once.
      */
     RunOutcome runOnce(const ModelConfig &model,
                        const ParallelConfig &parallel, int n_micro,
-                       OperatorToTaskTable &table,
-                       std::shared_ptr<const GraphTemplate> *capture =
-                           nullptr) const;
+                       OperatorToTaskTable &table) const;
+
+    /**
+     * Builds, expands and captures one iteration with n_micro
+     * micro-batches; `*durations` receives the expansion's durations,
+     * ready to replay over the returned template's topology.
+     */
+    std::shared_ptr<const GraphTemplate>
+    captureTemplate(const ModelConfig &model, const ParallelConfig &parallel,
+                    int n_micro, OperatorToTaskTable &table,
+                    std::vector<double> *durations) const;
 
     /** The template-less per-plan path (see file comment). */
     SimulationResult simulateFromScratch(const ModelConfig &model,

@@ -37,7 +37,6 @@
 #include "explore/explorer.h"
 #include "graph/builder.h"
 #include "graph/op_graph.h"
-#include "graph/schedule.h"
 #include "graph/task_graph.h"
 #include "graph/template.h"
 #include "hw/cluster_spec.h"

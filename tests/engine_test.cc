@@ -5,8 +5,8 @@
  * compute/communication overlap, dependency handling and deadlock
  * detection — plus the schedule-replay mode (single and batched),
  * pinned bit-identical to the queue engine on every graph shape here
- * and on a real expanded model graph, including under concurrent use
- * of one shared schedule.
+ * (renumbered into execution order) and on a real expanded model
+ * graph, including under concurrent use of one shared topology.
  */
 #include <gtest/gtest.h>
 
@@ -14,11 +14,11 @@
 #include <vector>
 
 #include "graph/builder.h"
-#include "graph/schedule.h"
 #include "graph/task_graph.h"
 #include "model/zoo.h"
 #include "profiling/synthetic_profiler.h"
 #include "sim/engine.h"
+#include "queue_order.h"
 
 namespace vtrain {
 namespace {
@@ -39,8 +39,9 @@ expectSameResult(const EngineResult &want, const EngineResult &got)
 }
 
 /**
- * Runs `graph` through the queue engine and the schedule replay (with
- * traces) and checks them bit-identical in every output.
+ * Runs `graph` through the queue engine, and its execution-order
+ * renumbering through the replay (both with traces), and checks them
+ * bit-identical in every output.
  */
 void
 expectReplayMatchesQueue(const TaskGraph &graph)
@@ -48,17 +49,40 @@ expectReplayMatchesQueue(const TaskGraph &graph)
     std::vector<TaskSpan> queue_trace;
     const EngineResult queue = runSimulation(graph, &queue_trace);
 
-    const auto schedule = ReplaySchedule::build(*graph.topology());
+    const std::vector<int32_t> order = queue_order::popOrder(graph);
+    ASSERT_EQ(order.size(), graph.numTasks());
+    const TaskGraph ordered = queue_order::inExecutionOrder(graph, order);
     std::vector<TaskSpan> replay_trace;
-    const EngineResult replay =
-        replaySimulation(*schedule, graph.durations(), &replay_trace);
+    const EngineResult replay = replaySimulation(
+        *ordered.topology(), ordered.durations(), &replay_trace);
 
     expectSameResult(queue, replay);
     ASSERT_EQ(queue_trace.size(), replay_trace.size());
-    for (size_t i = 0; i < queue_trace.size(); ++i) {
-        EXPECT_EQ(queue_trace[i].start, replay_trace[i].start) << i;
-        EXPECT_EQ(queue_trace[i].end, replay_trace[i].end) << i;
+    for (size_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(queue_trace[order[i]].start, replay_trace[i].start) << i;
+        EXPECT_EQ(queue_trace[order[i]].end, replay_trace[i].end) << i;
     }
+}
+
+/** A real pipeline-parallel expanded graph (CSR fan-outs, mixed tags,
+ *  comm lanes), in execution order by construction. */
+TaskGraph
+expandedModelGraph()
+{
+    const ModelConfig model = makeModel(512, 4, 8, 256, 4096);
+    const ClusterSpec cluster = makeCluster(8);
+    ParallelConfig plan;
+    plan.tensor = 2;
+    plan.data = 1;
+    plan.pipeline = 2;
+    plan.micro_batch_size = 1;
+    plan.global_batch_size = 4;
+    CommModel comm(cluster);
+    GraphBuilder builder(model, plan, cluster, comm);
+    const OpGraph ops = builder.build();
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    return TaskGraph::expand(ops, table);
 }
 
 TEST(Engine, SingleTask)
@@ -401,6 +425,15 @@ independentGraph()
     return std::move(b).build(3);
 }
 
+/** fanGraph() renumbered into execution order, for replays. */
+TaskGraph
+orderedFanGraph()
+{
+    const TaskGraph graph = fanGraph();
+    return queue_order::inExecutionOrder(graph,
+                                         queue_order::popOrder(graph));
+}
+
 TEST(EngineReplay, MatchesQueueOnHandBuiltShapes)
 {
     expectReplayMatchesQueue(overlapGraph());
@@ -432,43 +465,50 @@ TEST(EngineReplay, ScheduleOrderIsTheQueueOrder)
     b.addEdge(b1, d);
     b.addEdge(c, d);
     const TaskGraph graph = std::move(b).build(2);
-    const auto schedule = ReplaySchedule::build(*graph.topology());
-    ASSERT_EQ(schedule->order.size(), 4u);
-    EXPECT_EQ(schedule->order[0], a);
-    EXPECT_EQ(schedule->order[1], b1);
-    EXPECT_EQ(schedule->order[2], c);
-    EXPECT_EQ(schedule->order[3], d);
+    const std::vector<int32_t> order = queue_order::popOrder(graph);
+    ASSERT_EQ(order.size(), 4u);
+    EXPECT_EQ(order[0], a);
+    EXPECT_EQ(order[1], b1);
+    EXPECT_EQ(order[2], c);
+    EXPECT_EQ(order[3], d);
     expectReplayMatchesQueue(graph);
 }
 
 TEST(EngineReplay, ScheduleRejectsCycles)
 {
-    TaskGraph::Builder b;
-    const auto t0 = b.addTask(1.0, 0);
-    const auto t1 = b.addTask(1.0, 0);
-    b.addEdge(t0, t1);
-    b.addEdge(t1, t0);
-    const TaskGraph graph = std::move(b).build(1);
-    EXPECT_THROW(ReplaySchedule::build(*graph.topology()),
-                 std::logic_error);
+    // An expanded topology is its own schedule: expansion orders the
+    // tasks, so a cyclic operator graph is rejected there.
+    OpGraph ops;
+    const auto a = ops.addComm(0, 0, CommKind::TpAllReduce, 1.0, 2,
+                               CommScope::IntraNode, 1, StreamKind::Comm);
+    const auto b = ops.addComm(0, 0, CommKind::TpAllReduce, 1.0, 2,
+                               CommScope::IntraNode, 1, StreamKind::Comm);
+    ops.addEdge(a, b);
+    ops.addEdge(b, a);
+    ops.finalize();
+    const ClusterSpec cluster = makeCluster(8);
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    EXPECT_THROW(TaskGraph::expand(ops, table), std::logic_error);
 }
 
 TEST(EngineReplay, DurationCountMismatchThrows)
 {
-    const TaskGraph graph = overlapGraph();
-    const auto schedule = ReplaySchedule::build(*graph.topology());
+    const TaskGraph graph = expandedModelGraph();
     const std::vector<double> wrong(graph.numTasks() + 1, 1.0);
-    EXPECT_THROW(replaySimulation(*schedule, wrong), std::logic_error);
-    EXPECT_THROW(replayBatch(*schedule, {wrong}), std::logic_error);
+    EXPECT_THROW(replaySimulation(*graph.topology(), wrong),
+                 std::logic_error);
+    EXPECT_THROW(replayBatch(*graph.topology(), {wrong}),
+                 std::logic_error);
 }
 
 TEST(EngineReplay, BatchMatchesIndividualReplays)
 {
     // 19 duration vectors (crossing the internal chunk width) over
-    // one shared schedule: every point must equal its own
+    // one shared topology: every point must equal its own
     // single-replay run bit for bit.
-    const TaskGraph graph = fanGraph();
-    const auto schedule = ReplaySchedule::build(*graph.topology());
+    const TaskGraph graph = orderedFanGraph();
+    const TaskGraph::Topology &topology = *graph.topology();
 
     std::vector<std::vector<double>> sets;
     for (int k = 0; k < 19; ++k) {
@@ -479,11 +519,11 @@ TEST(EngineReplay, BatchMatchesIndividualReplays)
     }
 
     const std::vector<EngineResult> batch =
-        replayBatch(*schedule, sets);
+        replayBatch(topology, sets);
     ASSERT_EQ(batch.size(), sets.size());
     for (size_t k = 0; k < sets.size(); ++k) {
         const EngineResult single =
-            replaySimulation(*schedule, sets[k]);
+            replaySimulation(topology, sets[k]);
         expectSameResult(single, batch[k]);
     }
 }
@@ -493,22 +533,8 @@ TEST(EngineReplay, BatchMatchesQueueOnExpandedModelGraph)
     // A real pipeline-parallel expanded graph: the batched replay
     // must agree with from-scratch queue runs over re-assembled
     // graphs carrying the same duration vectors.
-    const ModelConfig model = makeModel(512, 4, 8, 256, 4096);
-    const ClusterSpec cluster = makeCluster(8);
-    ParallelConfig plan;
-    plan.tensor = 2;
-    plan.data = 1;
-    plan.pipeline = 2;
-    plan.micro_batch_size = 1;
-    plan.global_batch_size = 4;
-    CommModel comm(cluster);
-    GraphBuilder builder(model, plan, cluster, comm);
-    const OpGraph ops = builder.build();
-    SyntheticProfiler profiler(cluster.node.gpu);
-    OperatorToTaskTable table(profiler);
-    const TaskGraph graph = TaskGraph::expand(ops, table);
-
-    const auto schedule = ReplaySchedule::build(*graph.topology());
+    const TaskGraph graph = expandedModelGraph();
+    const TaskGraph::Topology &topology = *graph.topology();
     std::vector<std::vector<double>> sets;
     for (int k = 0; k < 5; ++k) {
         std::vector<double> durations = graph.durations();
@@ -517,7 +543,7 @@ TEST(EngineReplay, BatchMatchesQueueOnExpandedModelGraph)
         sets.push_back(std::move(durations));
     }
     const std::vector<EngineResult> batch =
-        replayBatch(*schedule, sets);
+        replayBatch(topology, sets);
     for (size_t k = 0; k < sets.size(); ++k) {
         const EngineResult queue = runSimulation(
             TaskGraph::fromParts(sets[k], graph.topology()));
@@ -550,11 +576,11 @@ TEST(EngineReplay, UnusableKernelPanics)
 {
     // Pinning replayBatch to a kernel this binary/host cannot run is
     // a caller bug, not a silent fallback.
-    const TaskGraph graph = fanGraph();
-    const auto schedule = ReplaySchedule::build(*graph.topology());
+    const TaskGraph graph = orderedFanGraph();
+    const TaskGraph::Topology &topology = *graph.topology();
     const std::vector<std::vector<double>> sets = {graph.durations()};
     if (!replayKernelUsable(ReplayKernel::Avx2)) {
-        EXPECT_THROW(replayBatch(*schedule, sets, ReplayKernel::Avx2),
+        EXPECT_THROW(replayBatch(topology, sets, ReplayKernel::Avx2),
                      std::logic_error);
     }
 }
@@ -564,8 +590,8 @@ TEST(EngineReplay, KernelGridBitIdentical)
     // Every usable kernel must agree with the scalar chunks bit for
     // bit at every batch width K = 1..19 — that sweeps all chunk
     // tails: 4-wide AVX2 bodies and the 4/2/1 scalar chunks.
-    const TaskGraph graph = fanGraph();
-    const auto schedule = ReplaySchedule::build(*graph.topology());
+    const TaskGraph graph = orderedFanGraph();
+    const TaskGraph::Topology &topology = *graph.topology();
 
     std::vector<std::vector<double>> sets;
     for (int k = 0; k < 19; ++k) {
@@ -579,15 +605,15 @@ TEST(EngineReplay, KernelGridBitIdentical)
         const std::vector<std::vector<double>> prefix(
             sets.begin(), sets.begin() + width);
         const std::vector<EngineResult> scalar =
-            replayBatch(*schedule, prefix, ReplayKernel::Scalar);
+            replayBatch(topology, prefix, ReplayKernel::Scalar);
         ASSERT_EQ(scalar.size(), width);
         for (size_t k = 0; k < width; ++k)
-            expectSameResult(replaySimulation(*schedule, prefix[k]),
+            expectSameResult(replaySimulation(topology, prefix[k]),
                              scalar[k]);
         if (!replayKernelUsable(ReplayKernel::Avx2))
             continue;
         const std::vector<EngineResult> got =
-            replayBatch(*schedule, prefix, ReplayKernel::Avx2);
+            replayBatch(topology, prefix, ReplayKernel::Avx2);
         ASSERT_EQ(got.size(), width);
         for (size_t k = 0; k < width; ++k)
             expectSameResult(scalar[k], got[k]);
@@ -598,21 +624,8 @@ TEST(EngineReplay, KernelsBitIdenticalOnExpandedModelGraph)
 {
     // Same grid idea on a real pipeline-parallel expanded graph (CSR
     // fan-outs, mixed tags, comm lanes) instead of a hand-built shape.
-    const ModelConfig model = makeModel(512, 4, 8, 256, 4096);
-    const ClusterSpec cluster = makeCluster(8);
-    ParallelConfig plan;
-    plan.tensor = 2;
-    plan.data = 1;
-    plan.pipeline = 2;
-    plan.micro_batch_size = 1;
-    plan.global_batch_size = 4;
-    CommModel comm(cluster);
-    GraphBuilder builder(model, plan, cluster, comm);
-    const OpGraph ops = builder.build();
-    SyntheticProfiler profiler(cluster.node.gpu);
-    OperatorToTaskTable table(profiler);
-    const TaskGraph graph = TaskGraph::expand(ops, table);
-    const auto schedule = ReplaySchedule::build(*graph.topology());
+    const TaskGraph graph = expandedModelGraph();
+    const TaskGraph::Topology &topology = *graph.topology();
 
     std::vector<std::vector<double>> sets;
     for (int k = 0; k < 9; ++k) {
@@ -623,10 +636,10 @@ TEST(EngineReplay, KernelsBitIdenticalOnExpandedModelGraph)
     }
 
     const std::vector<EngineResult> scalar =
-        replayBatch(*schedule, sets, ReplayKernel::Scalar);
+        replayBatch(topology, sets, ReplayKernel::Scalar);
     if (replayKernelUsable(ReplayKernel::Avx2)) {
         const std::vector<EngineResult> got =
-            replayBatch(*schedule, sets, ReplayKernel::Avx2);
+            replayBatch(topology, sets, ReplayKernel::Avx2);
         ASSERT_EQ(got.size(), scalar.size());
         for (size_t k = 0; k < scalar.size(); ++k)
             expectSameResult(scalar[k], got[k]);
@@ -635,13 +648,13 @@ TEST(EngineReplay, KernelsBitIdenticalOnExpandedModelGraph)
 
 TEST(EngineReplay, ConcurrentRunsShareOneSchedule)
 {
-    // The batched sweep path hands one ReplaySchedule to many
+    // The batched sweep path hands one topology to many
     // threads; replays must not mutate shared state (tsan covers
     // this test via the ^Engine preset filter).
-    const TaskGraph graph = fanGraph();
-    const auto schedule = ReplaySchedule::build(*graph.topology());
+    const TaskGraph graph = orderedFanGraph();
+    const TaskGraph::Topology &topology = *graph.topology();
     const EngineResult want =
-        replaySimulation(*schedule, graph.durations());
+        replaySimulation(topology, graph.durations());
 
     constexpr int kThreads = 8;
     std::vector<EngineResult> results(kThreads);
@@ -649,9 +662,9 @@ TEST(EngineReplay, ConcurrentRunsShareOneSchedule)
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
-            results[t] = replaySimulation(*schedule, graph.durations());
+            results[t] = replaySimulation(topology, graph.durations());
             batches[t] = replayBatch(
-                *schedule, {graph.durations(), graph.durations()});
+                topology, {graph.durations(), graph.durations()});
         });
     }
     for (auto &thread : threads)

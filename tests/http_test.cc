@@ -252,16 +252,17 @@ TEST(HttpFrontendTest, StatzExposesEngineCounters)
         ASSERT_NE(engine->find(key), nullptr) << key;
         EXPECT_GE(engine->find(key)->asInt64(), 0) << key;
     }
-    // The first evaluate captured its template cold (queue engine);
-    // the batch captured its two capped micro-batch counts cold too,
-    // timing its one core on the captures' expansions (no other core
-    // shares a replay pass), and answered its second point from that
-    // core; the last evaluate re-timed the batch's templates via two
-    // single-core replays.
-    EXPECT_EQ(engine->find("queue_runs")->asInt64(), 3);
+    // Every run replays over a template; none is template-less.  The
+    // first evaluate captured its template cold and replayed its one
+    // core on the capture's durations; the batch captured its two
+    // capped micro-batch counts cold too, replaying its one core on
+    // each (no other core shares a replay pass), and answered its
+    // second point from that core; the last evaluate re-timed the
+    // batch's templates via two single-core replays.
+    EXPECT_EQ(engine->find("queue_runs")->asInt64(), 0);
     EXPECT_EQ(engine->find("batched_points")->asInt64(), 0);
     EXPECT_EQ(engine->find("core_merges")->asInt64(), 1);
-    EXPECT_EQ(engine->find("replay_runs")->asInt64(), 2);
+    EXPECT_EQ(engine->find("replay_runs")->asInt64(), 5);
 
     // /metricsz mirrors the same counters at scrape time.
     ASSERT_TRUE(client.get("/metricsz", &response, &error)) << error;
@@ -271,8 +272,8 @@ TEST(HttpFrontendTest, StatzExposesEngineCounters)
               std::string::npos)
         << text;
     for (const char *series :
-         {"vtrain_sim_engine_events_total{counter=\"queue_runs\"} 3\n",
-          "vtrain_sim_engine_events_total{counter=\"replay_runs\"} 2\n",
+         {"vtrain_sim_engine_events_total{counter=\"queue_runs\"} 0\n",
+          "vtrain_sim_engine_events_total{counter=\"replay_runs\"} 5\n",
           "vtrain_sim_engine_events_total{counter=\"batched_points\"} 0\n",
           "vtrain_sim_engine_events_total{counter=\"core_merges\"} 1\n"})
         EXPECT_NE(text.find(series), std::string::npos) << series;

@@ -61,9 +61,16 @@ traceRun(const ParallelConfig &p, const ModelConfig &model)
     SyntheticProfiler profiler(cluster.node.gpu);
     OperatorToTaskTable table(profiler);
     ExpandOptions expand;
-    expand.collapse_operators = true; // task i <-> op i
-    const TaskGraph tasks = TaskGraph::expand(run.ops, table, expand);
-    run.result = runSimulation(tasks, &run.spans);
+    expand.collapse_operators = true; // one task per op
+    std::vector<int32_t> op_task;
+    const TaskGraph tasks =
+        TaskGraph::expand(run.ops, table, expand, nullptr, &op_task);
+    std::vector<TaskSpan> task_spans;
+    run.result = runSimulation(tasks, &task_spans);
+    // Index spans by op: expansion numbers tasks in execution order.
+    run.spans.resize(op_task.size());
+    for (size_t i = 0; i < op_task.size(); ++i)
+        run.spans[i] = task_spans[op_task[i]];
     return run;
 }
 

@@ -438,12 +438,12 @@ TEST(ServeService, BatchRoutesStructuralGroupsThroughBatchedReplay)
     EXPECT_EQ(stats.requests, 4u);
     EXPECT_EQ(stats.computed, 4u);
     // 1 core x fast mode's two simulated micro-batch counts, both
-    // captured cold, so the queue engine times the core on each
-    // capture's expansion; the other three points are answered from
-    // that core.
+    // captured cold, so the core replays alone on each capture's
+    // durations; the other three points are answered from that core.
     EXPECT_EQ(stats.engine.batched_points, 0u);
     EXPECT_EQ(stats.engine.core_merges, 3u);
-    EXPECT_EQ(stats.engine.queue_runs, 2u);
+    EXPECT_EQ(stats.engine.replay_runs, 2u);
+    EXPECT_EQ(stats.engine.queue_runs, 0u);
 
     SimService individual;
     for (size_t i = 0; i < requests.size(); ++i) {
@@ -481,11 +481,12 @@ TEST(ServeService, LargeScanGroupRunsAsOneUnitPerCore)
         service.evaluateBatch(requests);
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.computed, 72u);
-    // Per capped micro-batch count (both cold): the capture's queue
-    // run times the first core, one batched pass the other two.
-    EXPECT_EQ(stats.engine.batched_points, 2u * 2u);
+    // Per capped micro-batch count (both cold): the capture supplies
+    // the first core's durations, and one batched pass replays all
+    // three cores.
+    EXPECT_EQ(stats.engine.batched_points, 2u * 3u);
     EXPECT_EQ(stats.engine.core_merges, 72u - 3u);
-    EXPECT_EQ(stats.engine.queue_runs, 2u);
+    EXPECT_EQ(stats.engine.queue_runs, 0u);
 
     ASSERT_EQ(results.size(), requests.size());
     for (size_t i = 0; i < requests.size(); ++i) {

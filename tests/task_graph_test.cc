@@ -15,6 +15,7 @@
 #include "model/zoo.h"
 #include "profiling/synthetic_profiler.h"
 #include "sim/engine.h"
+#include "queue_order.h"
 
 namespace vtrain {
 namespace {
@@ -320,6 +321,13 @@ TEST(TaskGraphExpand, ExecutionOrderMatchesOpOrderReference)
                     opOrderReference(ops, table, collapse);
                 ASSERT_EQ(tasks.numTasks(), reference.numTasks());
                 ASSERT_EQ(tasks.numEdges(), reference.numEdges());
+                // Expansion numbers tasks in execution order: the
+                // queue engine pops them 0..n-1.
+                const std::vector<int32_t> order =
+                    queue_order::popOrder(tasks);
+                ASSERT_EQ(order.size(), tasks.numTasks());
+                for (size_t i = 0; i < order.size(); ++i)
+                    ASSERT_EQ(order[i], static_cast<int32_t>(i));
                 const EngineResult want = runSimulation(reference);
                 const EngineResult got = runSimulation(tasks);
                 EXPECT_EQ(got.makespan, want.makespan);

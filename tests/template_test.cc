@@ -305,15 +305,14 @@ TEST(TemplateGolden, BatchSizeScanMatchesPerPlanAndQueuePaths)
         // Six passes of 3 cores: each exact group times its cores
         // once, the fast group at both capped counts (6 and 7, which
         // two exact groups share) and answers its other 19 members
-        // from them.  Four distinct topologies means four cold
-        // passes, whose capture times the first core on the queue
-        // engine and replays the other two; the two warm passes
-        // replay all three.
+        // from them.  Every pass, cold (four distinct topologies) or
+        // warm, replays all three cores in one lockstep pass; a
+        // capture only supplies its first core's durations.
         const EngineCounters &counters = *sim.engineCounters();
-        EXPECT_EQ(counters.batched_points.load(), 4u * 2u + 2u * 3u);
+        EXPECT_EQ(counters.batched_points.load(), 6u * 3u);
         EXPECT_EQ(counters.core_merges.load(), 19u);
-        EXPECT_EQ(counters.queue_runs.load(), 4u)
-            << "one queue run per capture";
+        EXPECT_EQ(counters.queue_runs.load(), 0u)
+            << "captures replay; only template-less runs queue";
         return results;
     };
     const std::vector<SimulationResult> serial = batched(nullptr);
@@ -388,9 +387,9 @@ TEST(TemplateGolden, BatchedReplayExactModeAndMixedGroupFallBack)
 TEST(TemplateGolden, BatchedReplayTracksEngineCounters)
 {
     // A cold two-core batch: per capped micro-batch count, the
-    // capture's queue run times the first core and the second replays
-    // alone (a replay run).  The template-less path stays on the
-    // queue engine.
+    // capture supplies the first core's durations and both cores
+    // replay in one lockstep pass.  The template-less path stays on
+    // the queue engine.
     const ModelConfig model = tinyModel();
     const ClusterSpec cluster = makeCluster(64);
     ParallelConfig a;
@@ -407,9 +406,9 @@ TEST(TemplateGolden, BatchedReplayTracksEngineCounters)
     (void)sim.simulateIterationBatch(model, {a, b});
     const auto &counters = *sim.engineCounters();
     // Fast mode: two simulated micro-batch counts x two plans.
-    EXPECT_EQ(counters.batched_points.load(), 0u);
-    EXPECT_EQ(counters.queue_runs.load(), 2u);
-    EXPECT_EQ(counters.replay_runs.load(), 2u);
+    EXPECT_EQ(counters.batched_points.load(), 4u);
+    EXPECT_EQ(counters.queue_runs.load(), 0u);
+    EXPECT_EQ(counters.replay_runs.load(), 0u);
 
     Simulator scratch(cluster, SimOptions{}, nullptr);
     (void)scratch.simulateIteration(model, a);
