@@ -8,6 +8,8 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <array>
+
 #include "vtrain/vtrain.h"
 
 namespace {
@@ -119,6 +121,44 @@ BM_EngineRun(benchmark::State &state)
 BENCHMARK(BM_EngineRun)->Arg(0)->Arg(1);
 
 void
+BM_TemplateCapture(benchmark::State &state)
+{
+    // A template miss's capturing expansion alone (the graph build is
+    // excluded) at the fast-mode cap: Arg 0 = MT-NLG, the graph
+    // BM_EngineRun/0 times; Arg 1 = GPT-3.  The last 8 captures stay
+    // alive, as the simulator's template cache keeps them, so every
+    // capture writes fresh topology pages: freeing and re-capturing
+    // one template (BM_TemplateRetime/0/0) hands the allocator's warm
+    // pages straight back and hides those faults.  The durations go
+    // to one reused buffer, as core 0's do in the simulator.
+    setVerbose(false);
+    const bool gpt3 = state.range(0) != 0;
+    const ModelConfig model = gpt3 ? zoo::gpt3_175b() : zoo::mtNlg530b();
+    const ClusterSpec cluster = makeCluster(gpt3 ? 1024 : 3360);
+    const ParallelConfig plan = gpt3 ? gpt3Plan() : mtNlgPlan();
+    CommModel comm(cluster);
+    GraphBuilder builder(model, plan, cluster, comm);
+    BuildOptions options;
+    options.n_micro_override = 2 * plan.pipeline + 2; // fast-mode cap
+    const OpGraph ops = builder.build(options);
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    std::array<std::shared_ptr<const GraphTemplate>, 8> alive;
+    std::vector<double> durations;
+    size_t next = 0;
+    for (auto _ : state) {
+        alive[next++ % alive.size()] =
+            GraphTemplate::capture(ops, table, ExpandOptions{}, &durations);
+        benchmark::DoNotOptimize(durations.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["tasks"] = static_cast<double>(durations.size());
+}
+// Read against BM_EngineRun/0: a template miss should cost about one
+// queue run of the same graph.
+BENCHMARK(BM_TemplateCapture)->Arg(0)->Arg(1);
+
+void
 BM_SimulateIteration_MtNlg(benchmark::State &state)
 {
     setVerbose(false);
@@ -172,25 +212,25 @@ BM_TemplateRetime(benchmark::State &state)
     OperatorToTaskTable table(profiler);
 
     const OpGraph ops = builder.build(options);
-    TaskGraph expanded;
+    std::vector<double> expanded;
     const auto tmpl =
         GraphTemplate::capture(ops, table, ExpandOptions{}, &expanded);
 
     for (auto _ : state) {
         if (warm) {
-            TaskGraph out;
-            if (!tmpl->retime(table, plan, cluster, comm, &out)) {
+            std::vector<double> out;
+            if (!tmpl->retimeDurations(table, plan, cluster, comm, &out)) {
                 state.SkipWithError("retime rejected the table");
                 break;
             }
-            benchmark::DoNotOptimize(out.numTasks());
+            benchmark::DoNotOptimize(out.data());
         } else {
             OpGraph g = builder.build(options);
-            TaskGraph out;
+            std::vector<double> out;
             const auto fresh = GraphTemplate::capture(
                 g, table, ExpandOptions{}, &out);
             benchmark::DoNotOptimize(fresh->numTasks());
-            benchmark::DoNotOptimize(out.numTasks());
+            benchmark::DoNotOptimize(out.data());
         }
     }
     state.counters["tasks"] = static_cast<double>(tmpl->numTasks());
@@ -211,8 +251,8 @@ BM_BatchedReplay(benchmark::State &state)
     // K = 64 sweep points over one GPT-3 capped template: the
     // batched-sweep engine cost, compared against simulating the
     // same points one at a time.  Arg:
-    //   0 = sequential queue engine (retime + runSimulation), the
-    //       warm path before replay existed;
+    //   0 = sequential queue engine (retimeDurations +
+    //       runSimulation), the warm path before replay existed;
     //   1 = sequential schedule replay (retimeDurations +
     //       replaySimulation), the warm path per request;
     //   2 = batched replay (retimeDurations per point + one K-wide
@@ -229,10 +269,12 @@ BM_BatchedReplay(benchmark::State &state)
     SyntheticProfiler profiler(cluster.node.gpu);
     OperatorToTaskTable table(profiler);
     const OpGraph ops = builder.build(options);
-    TaskGraph expanded;
+    std::vector<double> expanded;
     const auto tmpl =
         GraphTemplate::capture(ops, table, ExpandOptions{}, &expanded);
     const TaskGraph::Topology &topology = tmpl->topology();
+    // Mode 0 times the queue engine on the same topology.
+    const TaskGraph queue_graph = TaskGraph::expand(ops, table);
 
     const int mode = static_cast<int>(state.range(0));
     // Reused across iterations, exactly like the simulator's batched
@@ -260,10 +302,14 @@ BM_BatchedReplay(benchmark::State &state)
             }
         } else {
             for (int k = 0; ok && k < kPoints; ++k) {
-                TaskGraph graph;
-                ok = tmpl->retime(table, plan, cluster, comm, &graph);
+                std::vector<double> durations;
+                ok = tmpl->retimeDurations(table, plan, cluster, comm,
+                                           &durations);
                 if (ok)
-                    checksum += runSimulation(graph).makespan;
+                    checksum += runSimulation(TaskGraph::fromParts(
+                                                  std::move(durations),
+                                                  queue_graph.topology()))
+                                    .makespan;
             }
         }
         if (!ok) {
@@ -314,7 +360,7 @@ BM_ReplayKernel(benchmark::State &state)
     SyntheticProfiler profiler(cluster.node.gpu);
     OperatorToTaskTable table(profiler);
     const OpGraph ops = builder.build(options);
-    TaskGraph expanded;
+    std::vector<double> expanded;
     const auto tmpl =
         GraphTemplate::capture(ops, table, ExpandOptions{}, &expanded);
     const TaskGraph::Topology &topology = tmpl->topology();

@@ -42,10 +42,11 @@ struct BuildOptions {
 /**
  * The builder's communication-descriptor policy: everything the
  * latency model needs beyond (kind, payload) is a pure function of
- * the plan and the cluster.  Shared with GraphTemplate::retime(),
- * which re-derives latencies from recorded (kind, bytes) pairs under
- * a possibly different cluster or DP degree — routing both the build
- * and the retime through this one function keeps them bit-identical.
+ * the plan and the cluster.  Shared with
+ * GraphTemplate::retimeDurations(), which re-derives latencies from
+ * recorded (kind, bytes) pairs under a possibly different cluster or
+ * DP degree — routing both the build and the retime through this one
+ * function keeps them bit-identical.
  */
 CommOpDesc commDescFor(CommKind kind, double bytes,
                        const ParallelConfig &parallel,

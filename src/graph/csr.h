@@ -19,22 +19,16 @@ namespace vtrain {
 /**
  * Counting-sorts `edges` over `n` nodes into CSR form: `offsets`
  * (size n+1) and `list` (size edges.size()), preserving the edge
- * list's relative order within each source node.  When `in_degree`
- * is non-null it receives the per-node parent counts.
+ * list's relative order within each source node.
  */
-inline void
+template <class Vec>
+void
 buildCsr(size_t n, const std::vector<std::pair<int32_t, int32_t>> &edges,
-         std::vector<int32_t> &offsets, std::vector<int32_t> &list,
-         std::vector<int32_t> *in_degree = nullptr)
+         Vec &offsets, Vec &list)
 {
     std::vector<int32_t> out_degree(n, 0);
-    if (in_degree)
-        in_degree->assign(n, 0);
-    for (const auto &[u, v] : edges) {
+    for (const auto &[u, v] : edges)
         ++out_degree[u];
-        if (in_degree)
-            ++(*in_degree)[v];
-    }
     offsets.assign(n + 1, 0);
     for (size_t i = 0; i < n; ++i)
         offsets[i + 1] = offsets[i] + out_degree[i];

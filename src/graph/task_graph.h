@@ -19,16 +19,21 @@
  * Storage is split by volatility: task *durations* (the only values
  * that change when kernels are re-profiled or comm parameters move)
  * live in a per-instance array, while the structural remainder —
- * per-task device/stream/tag metadata and the CSR dependency arrays —
- * lives in an immutable, shared Topology.  Re-timing a cached graph
- * template (graph/template.h) therefore allocates one double per task
- * and shares everything else.
+ * 4-byte per-task device/stream/tag metadata and the CSR child
+ * arrays — lives in an immutable, shared Topology.  Re-timing a
+ * cached graph template (graph/template.h) therefore allocates one
+ * double per task and shares everything else.  Topologies carry no
+ * in-degrees: the queue engine counts them from the child lists.  A
+ * task's duration is read from a small per-graph arena through its
+ * slot (see Provenance), one entry per descriptor kernel and per
+ * distinct (kind, payload, latency) communication site.
  */
 #ifndef VTRAIN_GRAPH_TASK_GRAPH_H
 #define VTRAIN_GRAPH_TASK_GRAPH_H
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "graph/op_graph.h"
@@ -82,29 +87,48 @@ struct ExpandOptions {
     const Perturber *perturber = nullptr;
 };
 
+/** std::allocator whose resize() default-initializes new elements:
+ *  expansion writes each element of its output arrays once, so
+ *  zero-filling them first would be a second pass over fresh pages. */
+template <class T>
+struct UninitAllocator : std::allocator<T> {
+    template <class U>
+    struct rebind { using other = UninitAllocator<U>; };
+    template <class U>
+    void construct(U *p) { ::new (static_cast<void *>(p)) U; }
+    template <class U, class... A>
+    void construct(U *p, A &&...a)
+    {
+        ::new (static_cast<void *>(p)) U(std::forward<A>(a)...);
+    }
+};
+template <class T>
+using UninitVector = std::vector<T, UninitAllocator<T>>;
+
 /** Flat CSR task DAG consumed by the simulation engine. */
 class TaskGraph
 {
   public:
-    /** Structural (duration-independent) attributes of one task. */
+    /** Structural (duration-independent) attributes of one task: 4
+     *  bytes, with OpNode's int16_t device id. */
     struct TaskMeta {
-        int32_t device = 0;
-        StreamKind stream = StreamKind::Compute;
-        TaskTag tag = TaskTag::Compute;
+        int16_t device;
+        StreamKind stream;
+        TaskTag tag;
     };
 
     /**
      * The immutable structural part of a task graph: per-task
-     * metadata plus the CSR dependency arrays.  Shared (never copied)
-     * between a graph and the template it was captured into, and
-     * between every re-timed instance of that template.  Expanded
+     * metadata plus the CSR child arrays (a task's in-degree is the
+     * number of times it appears in child_list).  Shared (never
+     * copied) between a graph and the template it was captured into,
+     * and between every re-timed instance of that template.  Expanded
      * topologies are in execution order (see file comment).
      */
     struct Topology {
-        std::vector<TaskMeta> meta;
-        std::vector<int32_t> child_offsets{0}; //!< size numTasks()+1
-        std::vector<int32_t> child_list;
-        std::vector<int32_t> in_degree;
+        UninitVector<TaskMeta> meta;
+        UninitVector<int32_t> child_offsets{0}; //!< size numTasks()+1
+        UninitVector<int32_t> child_list;
         int num_devices = 1;
     };
 
@@ -114,18 +138,21 @@ class TaskGraph
      * the interned descriptors' kernels first (descriptor d's kernels
      * contiguous, in descriptor order; one summed slot per descriptor
      * under collapse_operators), then one slot per distinct
-     * communication site.  slot[i] is task i's index into that arena,
-     * so GraphTemplate re-times the topology by filling the arena and
-     * gathering through slot.
+     * communication site.  A site is a distinct (kind, payload,
+     * latency) of the expanded graph's comm ops, so the arena holds
+     * every op's own latency even in hand-built graphs.  slot[i] is
+     * task i's index into that arena, so GraphTemplate re-times the
+     * topology by filling the arena and gathering through slot.
      */
     struct Provenance {
-        /** A distinct (kind, per-GPU payload) communication site. */
+        /** A communication site's (kind, per-GPU payload): what a
+         *  retime re-derives its latency from. */
         struct CommSite {
             CommKind kind = CommKind::TpAllReduce;
             double bytes = 0.0;
         };
 
-        std::vector<int32_t> slot; //!< size numTasks()
+        UninitVector<int32_t> slot; //!< size numTasks()
         std::vector<OpDesc> descs; //!< interned descriptors, by id
         std::vector<int32_t> kernels_per_desc;
         std::vector<CommSite> comm_sites;
@@ -141,7 +168,8 @@ class TaskGraph
     class Builder
     {
       public:
-        /** Adds a task and returns its id. */
+        /** Adds a task and returns its id.  Throws when `device` does
+         *  not fit TaskMeta's int16_t. */
         int32_t addTask(double duration, int32_t device,
                         StreamKind stream = StreamKind::Compute,
                         TaskTag tag = TaskTag::Compute);
@@ -154,7 +182,7 @@ class TaskGraph
 
       private:
         std::vector<double> durations_;
-        std::vector<TaskMeta> metas_;
+        UninitVector<TaskMeta> metas_;
         std::vector<std::pair<int32_t, int32_t>> edges_;
     };
 
@@ -170,16 +198,20 @@ class TaskGraph
      * cyclic operator graph (the walk cannot order every task).
      *
      * When `provenance` is non-null it receives the structural record
-     * the graph-template cache needs to re-time this topology later.
-     * When `op_first_task` is non-null it receives, per operator, the
-     * id of the operator's first task (under collapse_operators, the
-     * operator's only task) — the way to find an operator's tasks in
-     * an engine trace.
+     * the graph-template cache needs to re-time this topology later;
+     * only a memoized, unperturbed expansion has one (throws
+     * otherwise).  When `op_first_task` is non-null it receives, per
+     * operator, the id of the operator's first task (under
+     * collapse_operators, the operator's only task) — the way to find
+     * an operator's tasks in an engine trace.  The result's durations
+     * reuse the storage of `durations`.  Throws when a device id does
+     * not fit TaskMeta's int16_t.
      */
     static TaskGraph expand(const OpGraph &ops, OperatorToTaskTable &table,
                             const ExpandOptions &options = {},
                             Provenance *provenance = nullptr,
-                            std::vector<int32_t> *op_first_task = nullptr);
+                            std::vector<int32_t> *op_first_task = nullptr,
+                            std::vector<double> durations = {});
 
     /** Assembles a graph from a duration array and a shared topology
      *  (the template re-timing fast path). */
@@ -190,7 +222,7 @@ class TaskGraph
 
     /** Moves the duration array out (the graph keeps its topology). */
     std::vector<double> releaseDurations() && { return std::move(durations_); }
-    const std::vector<TaskMeta> &metas() const { return topo_->meta; }
+    const UninitVector<TaskMeta> &metas() const { return topo_->meta; }
 
     size_t numTasks() const { return durations_.size(); }
     size_t numEdges() const { return topo_->child_list.size(); }
@@ -204,12 +236,6 @@ class TaskGraph
     const int32_t *childEnd(int32_t u) const
     {
         return topo_->child_list.data() + topo_->child_offsets[u + 1];
-    }
-
-    /** Initial dependency (reference) count of each task. */
-    const std::vector<int32_t> &inDegree() const
-    {
-        return topo_->in_degree;
     }
 
     /** The shared structural part (see Topology). */

@@ -54,15 +54,14 @@ structuralFingerprint(const ModelConfig &model,
 
 std::shared_ptr<const GraphTemplate>
 GraphTemplate::capture(const OpGraph &ops, OperatorToTaskTable &table,
-                       const ExpandOptions &options, TaskGraph *expanded)
+                       const ExpandOptions &options,
+                       std::vector<double> *durations)
 {
-    VTRAIN_CHECK(options.perturber == nullptr,
-                 "graph templates cannot capture perturbed expansions");
     std::shared_ptr<GraphTemplate> tmpl(new GraphTemplate());
-    TaskGraph::Provenance prov;
-    *expanded = TaskGraph::expand(ops, table, options, &prov);
-    tmpl->topo_ = expanded->topology();
-    tmpl->prov_ = std::move(prov);
+    TaskGraph tasks = TaskGraph::expand(ops, table, options, &tmpl->prov_,
+                                        nullptr, std::move(*durations));
+    tmpl->topo_ = tasks.topology();
+    *durations = std::move(tasks).releaseDurations();
     tmpl->num_operators_ = ops.numNodes();
     tmpl->collapse_ = options.collapse_operators;
 
@@ -72,25 +71,11 @@ GraphTemplate::capture(const OpGraph &ops, OperatorToTaskTable &table,
         sizeof(GraphTemplate) +
         topo.meta.size() * sizeof(TaskGraph::TaskMeta) +
         (topo.child_offsets.size() + topo.child_list.size() +
-         topo.in_degree.size() + p.slot.size() +
-         p.kernels_per_desc.size()) *
+         p.slot.size() + p.kernels_per_desc.size()) *
             sizeof(int32_t) +
         p.descs.size() * sizeof(OpDesc) +
         p.comm_sites.size() * sizeof(TaskGraph::Provenance::CommSite);
     return tmpl;
-}
-
-bool
-GraphTemplate::retime(OperatorToTaskTable &table,
-                      const ParallelConfig &parallel,
-                      const ClusterSpec &cluster, const CommModel &comm,
-                      TaskGraph *out) const
-{
-    std::vector<double> durations;
-    if (!retimeDurations(table, parallel, cluster, comm, &durations))
-        return false;
-    *out = TaskGraph::fromParts(std::move(durations), topo_);
-    return true;
 }
 
 bool

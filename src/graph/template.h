@@ -10,10 +10,10 @@
  * durations that kernels and collectives are assigned.  A
  * GraphTemplate captures that structure once (together with a
  * provenance record mapping every task to its descriptor kernel or
- * communication site) and a retime() pass fills in durations for a
- * new (plan, cluster) pair in O(tasks) — it fills a small duration
- * arena and gathers it through the per-task slots — skipping graph
- * construction and expansion entirely.
+ * communication site) and a retimeDurations() pass fills in durations
+ * for a new (plan, cluster) pair in O(tasks) — it fills a small
+ * duration arena and gathers it through the per-task slots — skipping
+ * graph construction and expansion entirely.
  *
  * Templates are keyed by structuralFingerprint(), a hash of exactly
  * the inputs the topology depends on: model shape, the structural
@@ -26,7 +26,7 @@
  *
  * Retiming is exact, not approximate: a re-timed graph is
  * bit-identical to the graph a from-scratch build would produce for
- * the same request (golden-tested across a sweep grid).  A retime()
+ * the same request (golden-tested across a sweep grid).  A retime
  * whose lookup table disagrees with the recorded kernel counts (a
  * fingerprint collision, or a profiler whose decomposition changed)
  * fails gracefully and the caller rebuilds from scratch.
@@ -79,34 +79,27 @@ class GraphTemplate
   public:
     /**
      * Expands `ops` via `table` and captures the result: returns the
-     * template and assigns the fully timed graph to `expanded`.  The
-     * expansion must be unperturbed (perturbers are per-instance and
-     * process-local; the simulator never routes them through
-     * templates).
+     * template and writes the expansion's per-task durations (task
+     * id order) into `*durations`, reusing its storage.  The
+     * expansion must be memoized and unperturbed (perturbers are
+     * per-instance and process-local; the simulator never routes
+     * them through templates); throws otherwise.
      */
     static std::shared_ptr<const GraphTemplate>
     capture(const OpGraph &ops, OperatorToTaskTable &table,
-            const ExpandOptions &options, TaskGraph *expanded);
+            const ExpandOptions &options, std::vector<double> *durations);
 
     /**
-     * Re-times the captured topology for (parallel, cluster): kernel
-     * durations come from `table`, communication latencies are
-     * re-derived from the recorded payloads via `comm`.  @return true
-     * and assigns `*out` on success; false (leaving `out` untouched)
-     * when `table`'s kernel decomposition disagrees with the captured
-     * structure, in which case the caller must rebuild from scratch.
-     */
-    bool retime(OperatorToTaskTable &table, const ParallelConfig &parallel,
-                const ClusterSpec &cluster, const CommModel &comm,
-                TaskGraph *out) const;
-
-    /**
-     * The durations-only variant of retime(): fills `*out` with the
-     * per-task durations (in task id, i.e. execution, order) the
-     * retimed graph would carry, without assembling a TaskGraph.  The
-     * replay engine consumes exactly this over topology() (engine.h
-     * replaySimulation), and the batched sweep path collects one such
-     * vector per point.
+     * Re-times the captured topology for (parallel, cluster): fills
+     * `*out` with the per-task durations, in task id (execution)
+     * order.  Kernel durations come from `table`, communication
+     * latencies are re-derived from the recorded payloads via `comm`.
+     * The replay engine consumes exactly this over topology()
+     * (engine.h replaySimulation), and the batched sweep path collects
+     * one such vector per point.  @return false (leaving `*out`
+     * untouched) when `table`'s kernel decomposition disagrees with
+     * the captured structure, in which case the caller must rebuild
+     * from scratch.
      */
     bool retimeDurations(OperatorToTaskTable &table,
                          const ParallelConfig &parallel,
@@ -169,10 +162,10 @@ class GraphTemplateCache
   public:
     struct Options {
         size_t max_entries = 32;
-        /** 128 MiB.  A template costs about 24 bytes per task, so
-         *  this keeps ~5M tasks of topology (a dozen capped MT-NLG
+        /** 86 MiB.  A template costs about 16 bytes per task, so
+         *  this keeps ~5.5M tasks of topology (a dozen capped MT-NLG
          *  plans) resident. */
-        size_t max_bytes = 128u << 20;
+        size_t max_bytes = 86u << 20;
     };
 
     GraphTemplateCache() : GraphTemplateCache(Options{}) {}

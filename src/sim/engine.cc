@@ -36,9 +36,12 @@ runSimulationImpl(const TaskGraph &graph, std::vector<TaskSpan> *trace)
     double *const busy_comm = result.busy_comm.data();
     std::array<double, kNumTaskTags> time_by_tag{};
 
-    // Earliest data-ready time of each task (max over parents' ends).
+    // Earliest data-ready time of each task (max over parents' ends),
+    // and its reference count: its in-degree, counted off the CSR.
     std::vector<double> ready_vec(n, 0.0);
-    std::vector<int32_t> ref_vec = topo.in_degree;
+    std::vector<int32_t> ref_vec(n, 0);
+    for (const int32_t v : topo.child_list)
+        ++ref_vec[v];
     double *const ready = ready_vec.data();
     int32_t *const ref = ref_vec.data();
 

@@ -162,22 +162,6 @@ Simulator::runOnce(const ModelConfig &model, const ParallelConfig &parallel,
     return outcome;
 }
 
-std::shared_ptr<const GraphTemplate>
-Simulator::captureTemplate(const ModelConfig &model,
-                           const ParallelConfig &parallel, int n_micro,
-                           OperatorToTaskTable &table,
-                           std::vector<double> *durations) const
-{
-    const OpGraph ops = buildOps(model, parallel, n_micro);
-    util::TraceSpan span("sim.template_capture");
-    util::ScopedLatency timer(phaseMetrics().template_capture);
-    TaskGraph tasks;
-    std::shared_ptr<const GraphTemplate> tmpl =
-        GraphTemplate::capture(ops, table, expandOptions(), &tasks);
-    *durations = std::move(tasks).releaseDurations();
-    return tmpl;
-}
-
 SimulationResult
 Simulator::assembleResult(const ModelConfig &model,
                           const ParallelConfig &parallel,
@@ -384,6 +368,11 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
             std::vector<std::exception_ptr> errors; //!< per slot
         };
         ChunkBuf bufs[2];
+        // Core 0's set lives in one buffer per thread, reused across
+        // calls, so a capture writes its durations into warm pages.
+        thread_local std::vector<double> core0_set;
+        bufs[0].sets.resize(1);
+        bufs[0].sets[0].swap(core0_set);
 
         // Core 0 goes first, serially.  A warm pass retimes it; a cold
         // pass -- or a retime rejection (a foreign profiler or a
@@ -399,7 +388,6 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
             model, plans[0], n_micro, options_.collapse_operators,
             options_.attention);
         std::shared_ptr<const GraphTemplate> tmpl = templates_->get(fp);
-        bufs[0].sets.resize(1);
         bool warm = false;
         if (tmpl) {
             util::TraceSpan span("sim.template_retime");
@@ -408,8 +396,13 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
                                          comm_, &bufs[0].sets[0]);
         }
         if (!warm) {
-            tmpl = captureTemplate(model, *cores[0], n_micro, table,
-                                   &bufs[0].sets[0]);
+            const OpGraph ops = buildOps(model, *cores[0], n_micro);
+            {
+                util::TraceSpan span("sim.template_capture");
+                util::ScopedLatency timer(phaseMetrics().template_capture);
+                tmpl = GraphTemplate::capture(ops, table, expandOptions(),
+                                              &bufs[0].sets[0]);
+            }
             templates_->put(fp, tmpl);
         }
 
@@ -507,6 +500,7 @@ Simulator::simulateIterationBatch(const ModelConfig &model,
             for (size_t s = 0; s < count; ++s)
                 out[buf.begin + s].engine = std::move(engines[s]);
         }
+        core0_set.swap(bufs[0].sets[0]);
 
         // Table statistics snapshot, taken after this pass's
         // (re)timing work, as the template-less path takes it.

@@ -230,16 +230,6 @@ class Simulator
                        const ParallelConfig &parallel, int n_micro,
                        OperatorToTaskTable &table) const;
 
-    /**
-     * Builds, expands and captures one iteration with n_micro
-     * micro-batches; `*durations` receives the expansion's durations,
-     * ready to replay over the returned template's topology.
-     */
-    std::shared_ptr<const GraphTemplate>
-    captureTemplate(const ModelConfig &model, const ParallelConfig &parallel,
-                    int n_micro, OperatorToTaskTable &table,
-                    std::vector<double> *durations) const;
-
     /** The template-less per-plan path (see file comment). */
     SimulationResult simulateFromScratch(const ModelConfig &model,
                                          const ParallelConfig &parallel)

@@ -17,12 +17,24 @@
 namespace vtrain {
 namespace queue_order {
 
+/** @return each task's in-degree, counted off the child lists. */
+inline std::vector<int32_t>
+inDegrees(const TaskGraph &graph)
+{
+    std::vector<int32_t> degree(graph.numTasks(), 0);
+    for (size_t u = 0; u < graph.numTasks(); ++u)
+        for (const int32_t *c = graph.childBegin(static_cast<int32_t>(u));
+             c != graph.childEnd(static_cast<int32_t>(u)); ++c)
+            ++degree[*c];
+    return degree;
+}
+
 /** @return the task ids of `graph` in the order the queue pops them
  *  (shorter than numTasks() when the graph has a cycle). */
 inline std::vector<int32_t>
 popOrder(const TaskGraph &graph)
 {
-    std::vector<int32_t> ref = graph.inDegree();
+    std::vector<int32_t> ref = inDegrees(graph);
     std::vector<int32_t> order;
     for (size_t i = 0; i < graph.numTasks(); ++i)
         if (ref[i] == 0)

@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <exception>
+#include <string>
+#include <thread>
 
 #include "comm/comm_model.h"
 #include "graph/builder.h"
@@ -15,6 +19,7 @@
 #include "model/zoo.h"
 #include "profiling/synthetic_profiler.h"
 #include "sim/engine.h"
+#include "testbed/testbed.h"
 #include "queue_order.h"
 
 namespace vtrain {
@@ -110,7 +115,7 @@ TEST(TaskGraphExpand, EdgeCountConsistent)
               tg.numTasks() - ops.numNodes() + ops.numEdges());
     // in-degrees must sum to the edge count.
     size_t in_sum = 0;
-    for (int32_t d : tg.inDegree())
+    for (int32_t d : queue_order::inDegrees(tg))
         in_sum += static_cast<size_t>(d);
     EXPECT_EQ(in_sum, tg.numEdges());
 }
@@ -339,6 +344,139 @@ TEST(TaskGraphExpand, ExecutionOrderMatchesOpOrderReference)
     }
 }
 
+TEST(TaskGraphExpand, CommSitesKeepNodeLatencies)
+{
+    // Two comm ops of one (kind, payload) but different latencies, as a
+    // hand-built graph may carry: each task keeps its own op's latency,
+    // and a third op repeating the first latency shares its site.
+    OpGraph ops;
+    const double bytes = 1 << 20;
+    const double latencies[] = {1.5e-3, 2.25e-3, 1.5e-3};
+    OpGraph::NodeId prev = -1;
+    for (const double latency : latencies) {
+        const OpGraph::NodeId id = ops.addComm(
+            0, 0, CommKind::TpAllReduce, latency, 8, CommScope::IntraNode,
+            1, StreamKind::Compute, bytes);
+        if (prev >= 0)
+            ops.addEdge(prev, id);
+        prev = id;
+    }
+    ops.finalize();
+    const ClusterSpec cluster = makeCluster(8);
+    SyntheticProfiler profiler(cluster.node.gpu);
+    OperatorToTaskTable table(profiler);
+    TaskGraph::Provenance provenance;
+    std::vector<int32_t> first;
+    const TaskGraph tasks =
+        TaskGraph::expand(ops, table, {}, &provenance, &first);
+    ASSERT_EQ(tasks.numTasks(), 3u);
+    for (size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(tasks.durations()[first[i]], latencies[i]) << "op " << i;
+    EXPECT_EQ(provenance.comm_sites.size(), 2u);
+    EXPECT_EQ(provenance.slot[first[0]], provenance.slot[first[2]]);
+    EXPECT_NE(provenance.slot[first[0]], provenance.slot[first[1]]);
+}
+
+/** One expansion's outputs, copied out for bitwise comparison. */
+struct Expansion {
+    TaskGraph tasks;
+    TaskGraph::Provenance provenance;
+    std::vector<int32_t> first;
+};
+
+void
+expectSameExpansion(const Expansion &got, const Expansion &want)
+{
+    const TaskGraph &a = got.tasks;
+    const TaskGraph &b = want.tasks;
+    ASSERT_EQ(a.numTasks(), b.numTasks());
+    ASSERT_EQ(a.numEdges(), b.numEdges());
+    const size_t n = a.numTasks();
+    for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(a.metas()[i].device, b.metas()[i].device) << i;
+        ASSERT_EQ(a.metas()[i].stream, b.metas()[i].stream) << i;
+        ASSERT_EQ(a.metas()[i].tag, b.metas()[i].tag) << i;
+    }
+    EXPECT_EQ(0, std::memcmp(a.durations().data(), b.durations().data(),
+                             n * sizeof(double)));
+    const TaskGraph::Topology &ta = *a.topology();
+    const TaskGraph::Topology &tb = *b.topology();
+    EXPECT_TRUE(std::equal(ta.child_offsets.begin(), ta.child_offsets.end(),
+                           tb.child_offsets.begin(), tb.child_offsets.end()));
+    EXPECT_TRUE(std::equal(ta.child_list.begin(), ta.child_list.end(),
+                           tb.child_list.begin(), tb.child_list.end()));
+    EXPECT_TRUE(std::equal(got.provenance.slot.begin(),
+                           got.provenance.slot.end(),
+                           want.provenance.slot.begin(),
+                           want.provenance.slot.end()));
+    EXPECT_EQ(got.first, want.first);
+}
+
+TEST(TaskGraphExpand, ScratchReuseIsInvisible)
+{
+    // Expansion keeps per-thread scratch and leaves its output arrays
+    // unzeroed until written.  A large, a small, a perturbed testbed
+    // and the large graph again, expanded on one thread (the last
+    // into the first result's duration storage), must each equal the
+    // same expansion on a fresh thread, bit for bit.
+    const ModelConfig model = tinyModel();
+    const ClusterSpec cluster = makeCluster(64);
+    const CommModel comm(cluster);
+    ParallelConfig large_plan;
+    large_plan.tensor = 2;
+    large_plan.data = 2;
+    large_plan.pipeline = 4;
+    large_plan.micro_batch_size = 1;
+    large_plan.global_batch_size = 64;
+    BuildOptions large_build;
+    large_build.n_micro_override = 10;
+    const OpGraph large =
+        GraphBuilder(model, large_plan, cluster, comm).build(large_build);
+    BuildOptions small_build;
+    small_build.n_micro_override = 2;
+    const OpGraph small =
+        GraphBuilder(model, tinyPlan(), cluster, comm).build(small_build);
+    ASSERT_GT(large.numNodes(), 4 * small.numNodes());
+
+    // `perturbed` selects a fresh testbed perturber (same seed, so
+    // every run draws the same noise); it has no provenance.
+    const auto run = [&](const OpGraph &ops, bool perturbed,
+                         std::vector<double> storage = {}) {
+        SyntheticProfiler profiler(cluster.node.gpu);
+        OperatorToTaskTable table(profiler);
+        TestbedPerturber perturber(TestbedConfig{}, 42, 1.05);
+        ExpandOptions options;
+        options.perturber = perturbed ? &perturber : nullptr;
+        Expansion out;
+        out.tasks = TaskGraph::expand(
+            ops, table, options, perturbed ? nullptr : &out.provenance,
+            &out.first, std::move(storage));
+        return out;
+    };
+    const auto on_fresh_thread = [&](const OpGraph &ops, bool perturbed) {
+        Expansion out;
+        std::exception_ptr error;
+        std::thread([&] {
+            try {
+                out = run(ops, perturbed);
+            } catch (...) {
+                error = std::current_exception();
+            }
+        }).join();
+        if (error)
+            std::rethrow_exception(error);
+        return out;
+    };
+
+    Expansion first_large = run(large, false);
+    expectSameExpansion(first_large, on_fresh_thread(large, false));
+    expectSameExpansion(run(small, false), on_fresh_thread(small, false));
+    expectSameExpansion(run(large, true), on_fresh_thread(large, true));
+    const Expansion again =
+        run(large, false, std::move(first_large.tasks).releaseDurations());
+    expectSameExpansion(again, on_fresh_thread(large, false));
+}
+
 TEST(TaskGraphBuilder, BuildsChain)
 {
     TaskGraph::Builder b;
@@ -348,8 +486,30 @@ TEST(TaskGraphBuilder, BuildsChain)
     const TaskGraph g = std::move(b).build(1);
     EXPECT_EQ(g.numTasks(), 2u);
     EXPECT_EQ(g.numEdges(), 1u);
-    EXPECT_EQ(g.inDegree()[1], 1);
+    EXPECT_EQ(queue_order::inDegrees(g)[1], 1);
     EXPECT_EQ(*g.childBegin(0), 1);
+}
+
+TEST(TaskGraphBuilder, RejectsOutOfRangeDevice)
+{
+    // TaskMeta keeps OpNode's int16_t device id.
+    TaskGraph::Builder b;
+    EXPECT_EQ(b.addTask(1.0, 32767), 0);
+    EXPECT_EQ(b.addTask(1.0, -32768), 1);
+    for (const int32_t device : {32768, -32769, 1 << 20}) {
+        try {
+            b.addTask(1.0, device);
+            ADD_FAILURE() << "device " << device << " was accepted";
+        } catch (const std::logic_error &e) {
+            EXPECT_NE(std::string(e.what()).find(std::to_string(device)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    const TaskGraph g = std::move(b).build(1);
+    EXPECT_EQ(g.numTasks(), 2u);
+    EXPECT_EQ(g.metas()[0].device, 32767);
+    EXPECT_EQ(g.metas()[1].device, -32768);
 }
 
 TEST(TaskGraphBuilder, RejectsBadEdge)
